@@ -26,8 +26,8 @@ from .regression import Dataset, ScalarField, make_regressor, sup_error
 from .structures import (cloud_from_level_set, count_distinct_knn_sets,
                          estimate_level_set, estimate_maxima,
                          hausdorff_distance, true_level_set_grid)
-from .synth import (DensitySpec, ManifoldSpec, NoiseSpec, embed_manifold,
-                    halton_probes, make_field, manifold_field,
+from .synth import (DensitySpec, ManifoldSpec, NoiseSpec, ball_halton,
+                    embed_manifold, halton_probes, make_field, manifold_field,
                     manifold_probe_grid, sample_noise, sample_points,
                     stream_seed, support_box, truncated_mixture, uniform_ball,
                     uniform_box, uniform_grid)
@@ -188,16 +188,6 @@ def experiment_field(cfg: ExperimentConfig) -> ScalarField:
     return make_field(cfg.field_kind, **(cfg.field_params or {}))
 
 
-def ambient_dim(cfg: ExperimentConfig) -> int:
-    return cfg.manifold.ambient_dim if cfg.manifold is not None \
-        else cfg.density.dim
-
-
-def rate_dim(cfg: ExperimentConfig) -> int:
-    """Dimension driving the k rule: intrinsic on manifolds."""
-    return cfg.manifold.d if cfg.manifold is not None else cfg.density.dim
-
-
 def bound_params_for(cfg: ExperimentConfig, fld: ScalarField) -> BoundParams:
     md = fld.metadata
     if cfg.manifold is not None:
@@ -235,37 +225,9 @@ def probe_set(cfg: ExperimentConfig):
                                   "probes inside the ball support")
         return PointSet(pts), h
     if ds.kind == "uniform-ball":
-        return _ball_halton(ds.center, ds.radius, cfg.probe_count), None
+        return PointSet(ball_halton(ds.center, ds.radius,
+                                    cfg.probe_count)), None
     return halton_probes(lo, hi, cfg.probe_count), None
-
-
-def _ball_halton(center, radius: float, count: int) -> PointSet:
-    from scipy.stats import norm, qmc
-
-    c = np.atleast_1d(np.asarray(center, dtype=np.float64))
-    d = c.shape[0]
-    u = qmc.Halton(d=d + 1, scramble=False).random(count + 1)[1:]
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    z = norm.ppf(u[:, :d])
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    z = np.where(norms > 0.0, z / np.where(norms > 0.0, norms, 1.0), 0.0)
-    z[(norms == 0.0).reshape(-1), 0] = 1.0  # degenerate row: pick an axis
-    r = radius * u[:, d] ** (1.0 / d)
-    return PointSet(c + z * r[:, None])
-
-
-def _trial_dataset(cfg: ExperimentConfig, fld: ScalarField, n: int,
-                   seed_idx: int) -> Dataset:
-    if cfg.manifold is not None:
-        x = embed_manifold(cfg.manifold, n,
-                           stream_seed(cfg.master_seed, n, seed_idx,
-                                       "points")).points
-    else:
-        x = sample_points(cfg.density, n,
-                          stream_seed(cfg.master_seed, n, seed_idx, "points"))
-    xi = sample_noise(cfg.noise, n,
-                      stream_seed(cfg.master_seed, n, seed_idx, "noise"))
-    return Dataset(x=x, y=fld.evaluate(x.points) + xi)
 
 
 def _validity(params: BoundParams, n: int, k: int, setting: str) -> bool:
@@ -282,10 +244,40 @@ def _try(fn, *args, **kwargs) -> float:
         return float("nan")
 
 
-def _smoothness_for_k(cfg: ExperimentConfig, fld: ScalarField):
-    if cfg.k_rule.mode == "levelset_beta":
-        return fld.metadata.beta
-    return fld.metadata.alpha
+def _run_trials(cfg: ExperimentConfig, fld: ScalarField, setting: str,
+                bounds, measure) -> list:
+    """The n-ladder x seed loop shared by the field-based runners.
+
+    Per rung it resolves k, evaluates `bounds(params, n, k)` (a dict from
+    quantity to bound) and the k-window validity for `setting`.  Per seed it
+    draws the trial dataset from the (master, n, seed, label) streams and
+    records every (quantity, value) pair that `measure(data, k)` returns,
+    with the trial's wall time.
+    """
+    params = bound_params_for(cfg, fld)
+    dim = cfg.manifold.d if cfg.manifold is not None else cfg.density.dim
+    smoothness = fld.metadata.beta if cfg.k_rule.mode == "levelset_beta" \
+        else fld.metadata.alpha
+    records = []
+    for n in cfg.n_ladder:
+        k = resolve_k(cfg.k_rule, n, dim, smoothness)
+        bound = bounds(params, n, k)
+        valid = _validity(params, n, k, setting)
+        for s in range(cfg.seeds_per_n):
+            t0 = time.perf_counter()
+            seed = stream_seed(cfg.master_seed, n, s, "points")
+            if cfg.manifold is not None:
+                x = embed_manifold(cfg.manifold, n, seed).points
+            else:
+                x = sample_points(cfg.density, n, seed)
+            noise = sample_noise(cfg.noise, n,
+                                 stream_seed(cfg.master_seed, n, s, "noise"))
+            pairs = measure(Dataset(x, fld.evaluate(x.points) + noise), k)
+            ms = int(round(1000.0 * (time.perf_counter() - t0)))
+            records.extend(ExperimentRecord(cfg.kind, n, k, s, q, value,
+                                            bound[q], valid, ms)
+                           for q, value in pairs)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +289,13 @@ def run_regression_rate(cfg: ExperimentConfig) -> list:
     sup error next to the closed-form bound."""
     fld = experiment_field(cfg)
     probes, _ = probe_set(cfg)
-    params = bound_params_for(cfg, fld)
     manifold = cfg.manifold is not None
-    setting = "manifold" if manifold else "full"
-    records = []
-    for n in cfg.n_ladder:
-        k = resolve_k(cfg.k_rule, n, rate_dim(cfg), _smoothness_for_k(cfg, fld))
-        bound = _try(bnd.holder_bound, params, n, k, manifold=manifold)
-        valid = _validity(params, n, k, setting)
-        for s in range(cfg.seeds_per_n):
-            t0 = time.perf_counter()
-            reg = make_regressor(_trial_dataset(cfg, fld, n, s), k)
-            sup = sup_error(reg, fld, probes).sup
-            ms = int(round(1000.0 * (time.perf_counter() - t0)))
-            records.append(ExperimentRecord(cfg.kind, n, k, s, "sup_error",
-                                            sup, bound, valid, ms))
-    return records
+    return _run_trials(
+        cfg, fld, "manifold" if manifold else "full",
+        lambda params, n, k: {"sup_error": _try(
+            bnd.holder_bound, params, n, k, manifold=manifold)},
+        lambda data, k: [("sup_error",
+                          sup_error(make_regressor(data, k), fld, probes).sup)])
 
 
 @dataclass(frozen=True)
@@ -329,14 +312,9 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
     the max probe k-NN radius) stays under its theoretical bound."""
     fld = experiment_field(cfg)
     probes, _ = probe_set(cfg)
-    params = bound_params_for(cfg, fld)
     manifold = cfg.manifold is not None
-    setting = "manifold" if manifold else "full"
-    records = []
-    sup_viol, rad_viol = [], []
-    hits = trials = rhits = 0
-    for n in cfg.n_ladder:
-        k = resolve_k(cfg.k_rule, n, rate_dim(cfg), _smoothness_for_k(cfg, fld))
+
+    def bounds(params, n, k):
         err_bound = _try(bnd.holder_bound, params, n, k, manifold=manifold)
         if manifold:
             rad_bound = _try(bnd.manifold_radius_bound, params, n, k)
@@ -346,30 +324,26 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
             raise ConfigError(
                 "coverage requires density and field constants sufficient "
                 "for the error and radius bounds")
-        valid = _validity(params, n, k, setting)
-        for s in range(cfg.seeds_per_n):
-            t0 = time.perf_counter()
-            reg = make_regressor(_trial_dataset(cfg, fld, n, s), k)
-            sup = sup_error(reg, fld, probes).sup
-            rmax = float(knn_radii(reg.index, probes.points, k).max())
-            ms = int(round(1000.0 * (time.perf_counter() - t0)))
-            records.append(ExperimentRecord(cfg.kind, n, k, s, "sup_error",
-                                            sup, err_bound, valid, ms))
-            records.append(ExperimentRecord(cfg.kind, n, k, s, "radius_max",
-                                            rmax, rad_bound, valid, ms))
-            trials += 1
-            if sup <= err_bound:
-                hits += 1
-            else:
-                sup_viol.append((n, s))
-            if rmax <= rad_bound:
-                rhits += 1
-            else:
-                rad_viol.append((n, s))
-    return CoverageResult(coverage=hits / trials,
-                          radius_coverage=rhits / trials,
-                          sup_violations=tuple(sup_viol),
-                          radius_violations=tuple(rad_viol), records=records)
+        return {"sup_error": err_bound, "radius_max": rad_bound}
+
+    def measure(data, k):
+        reg = make_regressor(data, k)
+        return [("sup_error", sup_error(reg, fld, probes).sup),
+                ("radius_max",
+                 float(knn_radii(reg.index, probes.points, k).max()))]
+
+    records = _run_trials(cfg, fld, "manifold" if manifold else "full",
+                          bounds, measure)
+
+    def tally(quantity):
+        rows = [r for r in records if r.quantity == quantity]
+        misses = tuple((r.n, r.seed) for r in rows if not r.value <= r.bound)
+        return (len(rows) - len(misses)) / len(rows), misses
+
+    coverage, sup_violations = tally("sup_error")
+    radius_coverage, radius_violations = tally("radius_max")
+    return CoverageResult(coverage, radius_coverage, sup_violations,
+                          radius_violations, records)
 
 
 def run_levelset(cfg: ExperimentConfig) -> list:
@@ -386,30 +360,25 @@ def run_levelset(cfg: ExperimentConfig) -> list:
     lo, hi = support_box(cfg.density)
     grid, h = uniform_grid(lo, hi, cfg.probe_cells)
     truth = true_level_set_grid(fld, lam, grid, spacing=h)
-    params = bound_params_for(cfg, fld)
     D = cfg.density.dim
-    records = []
-    for n in cfg.n_ladder:
-        k = resolve_k(cfg.k_rule, n, rate_dim(cfg), _smoothness_for_k(cfg, fld))
-        bound = _try(bnd.level_set_dh_bound, params, n, k)
-        valid = _validity(params, n, k, "levelset")
-        for s in range(cfg.seeds_per_n):
-            t0 = time.perf_counter()
-            data = _trial_dataset(cfg, fld, n, s)
-            reg = make_regressor(data, k)
-            if cfg.epsilon_override is not None:
-                eps = float(cfg.epsilon_override)
-            else:
-                eps = level_set_epsilon(data, D, k, cfg.delta).epsilon
-            est = estimate_level_set(reg, lam, eps)
-            if truth.size == 0 or est.member_indices.size == 0:
-                dh = float("nan")
-            else:
-                dh = hausdorff_distance(cloud_from_level_set(est, D), truth)
-            ms = int(round(1000.0 * (time.perf_counter() - t0)))
-            records.append(ExperimentRecord(cfg.kind, n, k, s, "d_H", dh,
-                                            bound, valid, ms))
-    return records
+
+    def measure(data, k):
+        reg = make_regressor(data, k)
+        if cfg.epsilon_override is not None:
+            eps = float(cfg.epsilon_override)
+        else:
+            eps = level_set_epsilon(data, D, k, cfg.delta).epsilon
+        est = estimate_level_set(reg, lam, eps)
+        if truth.size == 0 or est.member_indices.size == 0:
+            return [("d_H", float("nan"))]
+        return [("d_H", hausdorff_distance(cloud_from_level_set(est, D),
+                                           truth))]
+
+    return _run_trials(
+        cfg, fld, "levelset",
+        lambda params, n, k: {"d_H": _try(bnd.level_set_dh_bound,
+                                          params, n, k)},
+        measure)
 
 
 def run_maxima(cfg: ExperimentConfig) -> list:
@@ -423,21 +392,16 @@ def run_maxima(cfg: ExperimentConfig) -> list:
         raise ConfigError("field.kind: maxima experiments need a field with "
                           "a declared maximizer")
     x0 = np.asarray(fld.metadata.argmax)
-    params = bound_params_for(cfg, fld)
-    records = []
-    for n in cfg.n_ladder:
-        k = resolve_k(cfg.k_rule, n, rate_dim(cfg), _smoothness_for_k(cfg, fld))
-        bound = _try(bnd.maxima_distance_bound, params, n, k)
-        valid = _validity(params, n, k, "maxima")
-        for s in range(cfg.seeds_per_n):
-            t0 = time.perf_counter()
-            reg = make_regressor(_trial_dataset(cfg, fld, n, s), k)
-            est = estimate_maxima(reg)
-            dist = float(np.linalg.norm(est.location - x0))
-            ms = int(round(1000.0 * (time.perf_counter() - t0)))
-            records.append(ExperimentRecord(cfg.kind, n, k, s, "maxima_dist",
-                                            dist, bound, valid, ms))
-    return records
+
+    def measure(data, k):
+        est = estimate_maxima(make_regressor(data, k))
+        return [("maxima_dist", float(np.linalg.norm(est.location - x0)))]
+
+    return _run_trials(
+        cfg, fld, "maxima",
+        lambda params, n, k: {"maxima_dist": _try(bnd.maxima_distance_bound,
+                                                  params, n, k)},
+        measure)
 
 
 def run_setcount(cfg: ExperimentConfig) -> list:

@@ -29,6 +29,11 @@ _REL_SLACK = 1e-9
 # many candidates fall back to the exact single-query path.
 _TAIL_CAP = 8
 
+# Tree-query entries (rows x (k+1)) per batch chunk.  A chunk peaks near
+# 32 bytes per entry (tree distances and indices plus the reductions'
+# temporaries), so a batch call stays near 32 MiB whatever k is.
+_CHUNK_ENTRIES = 2 ** 20
+
 
 @dataclass(frozen=True)
 class PointSet:
@@ -168,47 +173,60 @@ def range_query(index: SpatialIndex, query, r: float) -> np.ndarray:
     return np.sort(cand[dist <= r])
 
 
-def knn_radii(index: SpatialIndex, queries, k: int, chunk: int = 4096) -> np.ndarray:
-    """Exact k-NN radii for a batch of queries.
+def _batch(index: SpatialIndex, queries, k: int, fast_rows,
+           exact_row) -> np.ndarray:
+    """The chunked loop under knn_radii and predict_batch.
 
-    Vectorized over the common case (a clear distance gap at the k-th
-    neighbor); rows with boundary ties fall back to the exact single-query
-    path, so the result matches a knn_query loop bit for bit.
+    Each chunk takes one k+1 tree query.  `fast_rows(qc, d, idx, gap)`
+    reduces the rows with a clear distance gap after the k-th neighbor: it
+    returns the mask of rows it resolved (a subset of `gap`) and their
+    values.  Every other row falls back to the exact knn_query path and is
+    reduced by `exact_row(neighbor_set)`, so the result matches a scalar
+    loop bit for bit.  A chunk holds _CHUNK_ENTRIES tree entries, or one
+    row when k+1 alone exceeds that.
     """
     ps = index.source
     Q = np.asarray(queries, dtype=np.float64)
     if Q.ndim == 1:
-        Q = Q.reshape(-1, ps.dim) if ps.dim > 1 else Q.reshape(-1, 1)
+        Q = Q.reshape(-1, ps.dim)
     if Q.shape[1] != ps.dim:
         raise ValueError(f"queries have dimension {Q.shape[1]}, index has {ps.dim}")
-    n = ps.n
-    k = _check_k(k, n)
+    if not np.isfinite(Q).all():
+        raise ValueError("query contains non-finite coordinates")
+    k = _check_k(k, ps.n)
     out = np.empty(Q.shape[0], dtype=np.float64)
-
-    if k == n:
-        # Every point is a member; the radius is the farthest distance.
-        for lo in range(0, Q.shape[0], chunk):
-            qc = Q[lo:lo + chunk]
-            d2 = ((qc[:, None, :] - ps.points[None, :, :]) ** 2).sum(axis=2)
-            out[lo:lo + chunk] = np.sqrt(d2.max(axis=1))
-        return out
-
-    kq = k + 1
-    for lo in range(0, Q.shape[0], chunk):
-        qc = Q[lo:lo + chunk]
-        d, idx = index._tree.query(qc, k=kq)
-        d = d.reshape(len(qc), kq)
-        idx = idx.reshape(len(qc), kq)
-        dk = d[:, k - 1]
-        ext_tie = d[:, k] <= dk * (1.0 + _REL_SLACK)
-        tail = (d[:, :k] >= (dk * (1.0 - _REL_SLACK))[:, None]).sum(axis=1)
-        fast = (~ext_tie) & (tail <= _TAIL_CAP)
-        if fast.any():
-            t = int(min(int(tail[fast].max()), k))
-            cols = idx[fast, k - t:k]
-            diff = ps.points[cols] - qc[fast][:, None, :]
-            d2 = (diff * diff).sum(axis=2)
-            out[lo:lo + chunk][fast] = np.sqrt(d2.max(axis=1))
+    rows = max(1, _CHUNK_ENTRIES // (k + 1))
+    for lo in range(0, Q.shape[0], rows):
+        qc = Q[lo:lo + rows]
+        d, idx = index._tree.query(qc, k=k + 1)
+        gap = d[:, k] > d[:, k - 1] * (1.0 + _REL_SLACK)
+        fast, values = fast_rows(qc, d, idx, gap)
+        block = out[lo:lo + rows]
+        block[fast] = values
         for row in np.flatnonzero(~fast):
-            out[lo + row] = knn_query(index, qc[row], k).radius
+            block[row] = exact_row(knn_query(index, qc[row], k))
     return out
+
+
+def knn_radii(index: SpatialIndex, queries, k: int) -> np.ndarray:
+    """Exact k-NN radii for a batch of queries.
+
+    Rows with a clear gap after the k-th neighbor and few candidates near
+    it take the max exact distance over those candidates; the rest take
+    the single-query path, so the result matches a knn_query loop bit for
+    bit.
+    """
+    pts = index.source.points
+
+    def fast_rows(qc, d, idx, gap):
+        k = d.shape[1] - 1
+        dk = d[:, k - 1]
+        tail = (d[:, :k] >= (dk * (1.0 - _REL_SLACK))[:, None]).sum(axis=1)
+        fast = gap & (tail <= _TAIL_CAP)
+        if not fast.any():
+            return fast, 0.0
+        t = int(tail[fast].max())
+        diff = pts[idx[fast, k - t:k]] - qc[fast][:, None, :]
+        return fast, np.sqrt((diff * diff).sum(axis=2).max(axis=1))
+
+    return _batch(index, queries, k, fast_rows, lambda ns: ns.radius)

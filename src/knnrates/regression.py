@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .neighbors import (PointSet, SpatialIndex, as_point_set, build_index,
-                        knn_query, _REL_SLACK)
+                        knn_query, _batch)
 
 
 @dataclass(frozen=True)
@@ -115,40 +115,20 @@ def predict(reg: Regressor, query) -> float:
     return _mean_over(reg.data.y, ns.member_indices)
 
 
-def predict_batch(reg: Regressor, queries, chunk: int = 4096) -> np.ndarray:
+def predict_batch(reg: Regressor, queries) -> np.ndarray:
     """Vectorized predict; exactly equal to a per-query predict loop.
 
-    Rows with a clear gap after the k-th neighbor are averaged in bulk;
-    rows with boundary ties fall back to the exact scalar path.
+    Rows with a clear gap after the k-th neighbor average their k members
+    in ascending index order; rows with boundary ties fall back to the
+    exact scalar path.
     """
-    ps = reg.index.source
-    Q = np.asarray(queries, dtype=np.float64)
-    if Q.ndim == 1:
-        Q = Q.reshape(-1, ps.dim) if ps.dim > 1 else Q.reshape(-1, 1)
-    if Q.shape[1] != ps.dim:
-        raise ValueError(f"queries have dimension {Q.shape[1]}, index has {ps.dim}")
-    n, k, y = ps.n, reg.k, reg.data.y
-    out = np.empty(Q.shape[0], dtype=np.float64)
+    k, y = reg.k, reg.data.y
 
-    if k == n:
-        all_members = np.arange(n)
-        out.fill(_mean_over(y, all_members))
-        return out
+    def fast_rows(qc, d, idx, gap):
+        return gap, y[np.sort(idx[gap, :k], axis=1)].sum(axis=1) / k
 
-    kq = k + 1
-    for lo in range(0, Q.shape[0], chunk):
-        qc = Q[lo:lo + chunk]
-        d, idx = reg.index._tree.query(qc, k=kq)
-        d = d.reshape(len(qc), kq)
-        idx = idx.reshape(len(qc), kq)
-        fast = d[:, k] > d[:, k - 1] * (1.0 + _REL_SLACK)
-        if fast.any():
-            members = np.sort(idx[fast, :k], axis=1)
-            out[lo:lo + chunk][fast] = y[members].sum(axis=1) / k
-        for row in np.flatnonzero(~fast):
-            ns = knn_query(reg.index, qc[row], k)
-            out[lo + row] = _mean_over(y, ns.member_indices)
-    return out
+    return _batch(reg.index, queries, k,
+                  fast_rows, lambda ns: _mean_over(y, ns.member_indices))
 
 
 def knn_radius(reg: Regressor, query) -> float:
@@ -184,7 +164,7 @@ class ModulusEstimate:
 def _ball_probes(x: np.ndarray, r: float, resolution: int) -> np.ndarray:
     """Deterministic probe cloud in the closed ball B(x, r): the center, the
     2D axis-aligned boundary points, and a Halton fill."""
-    from scipy.stats import norm, qmc
+    from .synth import ball_halton  # synth imports this module
 
     d = x.shape[0]
     pts = [x]
@@ -196,14 +176,7 @@ def _ball_probes(x: np.ndarray, r: float, resolution: int) -> np.ndarray:
     base = np.asarray(pts)
     extra = resolution - base.shape[0]
     if extra > 0 and r > 0.0:
-        u = qmc.Halton(d=d + 1, scramble=False).random(extra + 1)[1:]
-        u = np.clip(u, 1e-12, 1.0 - 1e-12)
-        z = norm.ppf(u[:, :d])
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        z = np.where(norms > 0.0, z / np.where(norms > 0.0, norms, 1.0), 0.0)
-        z[(norms == 0.0).reshape(-1), 0] = 1.0  # degenerate row: pick an axis
-        radii = r * u[:, d] ** (1.0 / d)
-        base = np.vstack([base, x + z * radii[:, None]])
+        base = np.vstack([base, ball_halton(x, r, extra)])
     return base
 
 

@@ -7,9 +7,8 @@ fed true values.  Declarations are conservative but provable; the test
 suite probes them with large random batches.
 
 Seeding: one 64-bit master seed; the stream for trial t and purpose
-`label` derives from SeedSequence([master, *t, sha256(label)]), giving
-reproducible, well-separated streams whether trials run serially or in
-parallel.
+`label` derives from SeedSequence([master, *t, sha256(label)]), so each
+trial's streams depend only on (master, n, seed, label).
 """
 
 from __future__ import annotations
@@ -565,6 +564,24 @@ def uniform_grid(low, high, cells: int) -> tuple[PointSet, float]:
     pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
     spacing = float(((hi - lo) / cells).max())
     return PointSet(pts), spacing
+
+
+def ball_halton(center, radius: float, count: int) -> np.ndarray:
+    """Deterministic low-discrepancy cloud of `count` points in a closed
+    ball: unscrambled Halton draws (first point skipped), mapped to
+    directions through the normal quantile and to radii by the D-th root."""
+    from scipy.stats import norm, qmc
+
+    c = np.atleast_1d(np.asarray(center, dtype=np.float64))
+    d = c.shape[0]
+    u = qmc.Halton(d=d + 1, scramble=False).random(count + 1)[1:]
+    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    z = norm.ppf(u[:, :d])
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.where(norms > 0.0, z / np.where(norms > 0.0, norms, 1.0), 0.0)
+    z[(norms == 0.0).reshape(-1), 0] = 1.0  # degenerate row: pick an axis
+    r = radius * u[:, d] ** (1.0 / d)
+    return c + z * r[:, None]
 
 
 def halton_probes(low, high, count: int) -> PointSet:

@@ -372,3 +372,57 @@ class TestBoundParamsFor:
         assert params.dim == 10 and params.d == 1
         assert params.tau == pytest.approx(0.15915)
         assert params.p0 == pytest.approx(1.0 / cfg.manifold.length)
+
+
+# One tiny inline config per runner path.  The digests were taken before
+# the runners came to share one trial loop; any change to the emitted bytes
+# of any kind shows here.
+GOLDEN_CONFIGS = {
+    "regression-ball-3d": (base_pairs(**{
+        "density.kind": "uniform-ball", "density.center": "0, 0, 0",
+        "density.radius": "1.0", "field.center": "0, 0, 0",
+        "probes.count": "128", "ladder.n": "64, 128"}),
+        "3c704159a2dcd993b9957311720721c0c42174a2208368fdf99554a391e244ed"),
+    "manifold": ({
+        "experiment.kind": "regression", "seed.master": "5",
+        "ladder.n": "64, 128", "trial.seeds_per_n": "2",
+        "k.rule": "power", "k.exponent": "0.6667", "probes.cells": "64",
+        "noise.kind": "gaussian", "noise.scale": "0.1",
+        "manifold.kind": "circle", "manifold.ambient_dim": "4",
+        "manifold.radius": "0.15915494309189535", "manifold.rotate": "true",
+        "manifold.rotation_seed": "3"},
+        "3b81eaf645f8575615ec85653189aa32bd1980703d7e560fd302c3c46f34f607"),
+    "coverage": (base_pairs(**{
+        "experiment.kind": "coverage", "ladder.n": "128, 256",
+        "trial.seeds_per_n": "3"}),
+        "f6bdc85b4be9edf46bca5a1e2787897205896575c754acac27f27a27755faa11"),
+    "levelset": (base_pairs(**{
+        "experiment.kind": "levelset", "ladder.n": "128, 256",
+        "level.lambda": "0.5", "k.rule": "optimal",
+        "k.mode": "levelset_beta", "level.m2": "0.7"}),
+        "2a24012db6a2426bc24ca6d8b0284e673e9edcbd07c2f82bcd7da1b28502bc21"),
+    "maxima": (base_pairs(**{
+        "experiment.kind": "maxima", "ladder.n": "64, 128",
+        "k.rule": "optimal", "k.mode": "maxima",
+        "field.kind": "quadratic-peak", "field.center": "0.5",
+        "field.curvature": "1.5", "field.height": "1.0",
+        "field.r_m": "0.5"}),
+        "8016529992ba9d43100eae0d17f3d3fbd988627427bdf7c180095cf034d42ce7"),
+    "setcount": (base_pairs(**{
+        "experiment.kind": "setcount", "ladder.n": "3, 6",
+        "k.values": "1, 2, 5", "probes.cells": "29",
+        "density.low": "0, 0", "density.high": "1, 1",
+        "field.kind": "constant", "field.value": "0"}),
+        "c7a888954a137232fd83ffb4f301f41721a3402b479178b26350122a2ce17e22"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_golden_csv_bytes(name):
+    import hashlib
+
+    from knnrates import run_experiment
+
+    pairs, digest = GOLDEN_CONFIGS[name]
+    csv = records_to_csv(run_experiment(build_config(pairs)))
+    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest

@@ -216,3 +216,19 @@ class TestBatchRadii:
             batch = knn_radii(idx, Q, k)
             scalar = np.array([knn_query(idx, q, k).radius for q in Q])
             assert np.array_equal(batch, scalar)
+
+
+class TestBatchMemory:
+    @pytest.mark.parametrize("k", [4095, 4096])
+    def test_large_k_peak_bounded(self, k):
+        import tracemalloc
+
+        X = np.random.default_rng(29).random((4096, 1))
+        idx = build_index(X)
+        tracemalloc.start()
+        try:
+            knn_radii(idx, X, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knnrates import (Dataset, PointSet, ScalarField, empirical_modulus,
-                      knn_query, knn_radius, make_field, make_regressor,
-                      predict, predict_batch, read_dataset, sup_error,
-                      write_dataset)
+                      knn_query, knn_radii, knn_radius, make_field,
+                      make_regressor, predict, predict_batch, read_dataset,
+                      sup_error, write_dataset)
 
 
 def data1d(xs, ys):
@@ -83,6 +83,36 @@ class TestBatchAgreement:
             batch = predict_batch(reg, Q)
             scalar = np.array([predict(reg, q) for q in Q])
             assert np.array_equal(batch, scalar)
+
+
+    def test_large_k_peak_bounded(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(31)
+        X = rng.random((4096, 1))
+        reg = make_regressor(Dataset(PointSet(X), rng.standard_normal(4096)),
+                             4095)
+        tracemalloc.start()
+        try:
+            predict_batch(reg, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("path", ["predict", "predict_batch", "knn_radii"])
+def test_nonfinite_query_gets_package_error(path, bad):
+    rng = np.random.default_rng(3)
+    reg = make_regressor(Dataset(PointSet(rng.random((100, 2))),
+                                 rng.standard_normal(100)), 5)
+    call = {"predict": lambda q: predict(reg, q[0]),
+            "predict_batch": lambda q: predict_batch(reg, q),
+            "knn_radii": lambda q: knn_radii(reg.index, q, 5)}[path]
+    with pytest.raises(ValueError,
+                       match="^query contains non-finite coordinates$"):
+        call(np.array([[0.5, bad]]))
 
 
 class TestEquivariances:
