@@ -135,7 +135,10 @@ def cli_main(argv=None) -> int:
         else:
             write_records(out_path, records)
         if not args.quiet:
-            total_ms = sum(r.ms for r in records)
+            # A trial may write several records (coverage writes two),
+            # each carrying the trial's time: count each trial once.
+            trial_ms = {(r.n, r.k, r.seed): r.ms for r in records}
+            total_ms = sum(trial_ms.values())
             print(f"{args.command}: {len(records)} records in ~{total_ms} ms",
                   file=sys.stderr)
         return 0

@@ -10,13 +10,24 @@ with the same squared-distance routine and exact float comparisons (no
 epsilon), so their answers agree bit for bit.  The tree is used only to
 produce candidate supersets; the final radius and member set always come
 from the shared arithmetic.
+
+Batch queries (`knn_radii`, and `predict_batch` in the regression module)
+run one chunked kernel.  In D >= 2 it takes a k+1 tree query per chunk.
+In D = 1 a tie-free neighbor set is a contiguous window of the points
+sorted by coordinate, so the kernel binary-searches each row's window
+start instead and accepts the window only when both points just outside
+it are strictly farther than its farther end; that test is exact.  In
+either dimension, rows the fast step cannot settle take the single-query
+path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 # Candidate windows from the kd-tree are widened by this relative slack
@@ -76,10 +87,15 @@ class NeighborSet:
 
 @dataclass(frozen=True)
 class SpatialIndex:
-    """Immutable query structure over a PointSet; safe for concurrent reads."""
+    """Immutable query structure over a PointSet; safe for concurrent reads.
+
+    In D = 1 it also holds the stable argsort of the coordinate, which the
+    batch kernel searches for neighbor windows.
+    """
 
     source: PointSet
     _tree: cKDTree = field(repr=False)
+    _order: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def as_point_set(points) -> PointSet:
@@ -118,7 +134,11 @@ def _check_k(k: int, n: int) -> int:
 def build_index(points) -> SpatialIndex:
     """Build the kd-tree index.  Deterministic given the input order."""
     ps = as_point_set(points)
-    return SpatialIndex(source=ps, _tree=cKDTree(ps.points))
+    order = None
+    if ps.dim == 1:
+        order = np.argsort(ps.points[:, 0], kind="stable")
+        order.setflags(write=False)
+    return SpatialIndex(source=ps, _tree=cKDTree(ps.points), _order=order)
 
 
 def brute_force_knn(points, query, k: int) -> NeighborSet:
@@ -173,17 +193,55 @@ def range_query(index: SpatialIndex, query, r: float) -> np.ndarray:
     return np.sort(cand[dist <= r])
 
 
-def _batch(index: SpatialIndex, queries, k: int, fast_rows,
+def _windows(xs: np.ndarray, q: np.ndarray, k: int):
+    """Neighbor windows of 1-D queries over sorted coordinates `xs`.
+
+    A binary search finds, for each query, the start a of the window
+    xs[a:a+k] that a tie-free k-NN set must occupy.  Its squared radius r2
+    is the larger squared distance of the window's two ends, built with
+    diff * diff as in _sq_dists.  The row is `fast` only when both points
+    just outside the window, a-1 and a+k, are strictly farther than r2:
+    then the window is exactly the tie-inclusive neighbor set.  Returns
+    (a, r2, fast).
+    """
+    n = xs.shape[0]
+    last = n - k
+
+    def sq(j):
+        diff = xs[j] - q
+        return diff * diff
+
+    # The window moves right past a while xs[a+k] lies left of the query or
+    # is strictly nearer than xs[a].  That test is monotone in a, so the
+    # search reaches the tie-free window whenever one exists.
+    a = np.zeros(q.shape[0], dtype=np.intp)
+    step = 1 << (last.bit_length() - 1) if last else 0
+    while step:
+        c = a + step
+        j = np.minimum(c, last) - 1
+        right = (xs[j + k] < q) | (sq(j) > sq(j + k))
+        a = np.where((c <= last) & right, c, a)
+        step >>= 1
+    r2 = np.maximum(sq(a), sq(a + k - 1))
+    fast = ((a == 0) | (sq(np.maximum(a - 1, 0)) > r2)) & \
+        ((a == last) | (sq(np.minimum(a + k, n - 1)) > r2))
+    return a, r2, fast
+
+
+def _batch(index: SpatialIndex, queries, k: int, tree_rows, window_rows,
            exact_row) -> np.ndarray:
     """The chunked loop under knn_radii and predict_batch.
 
-    Each chunk takes one k+1 tree query.  `fast_rows(qc, d, idx, gap)`
-    reduces the rows with a clear distance gap after the k-th neighbor: it
-    returns the mask of rows it resolved (a subset of `gap`) and their
-    values.  Every other row falls back to the exact knn_query path and is
-    reduced by `exact_row(neighbor_set)`, so the result matches a scalar
-    loop bit for bit.  A chunk holds _CHUNK_ENTRIES tree entries, or one
-    row when k+1 alone exceeds that.
+    In D >= 2 each chunk takes one k+1 tree query.  `tree_rows(qc, d, idx,
+    gap)` reduces the rows with a clear distance gap after the k-th
+    neighbor: it returns the mask of rows it resolved (a subset of `gap`)
+    and their values.  In D = 1 each chunk takes the window search of
+    _windows instead, and `window_rows(r2, members)` reduces its fast rows
+    from their squared radii and `members()`, the (rows, k) array of their
+    member indices, built only when called.  Every other row falls back to
+    the exact knn_query path and is reduced by `exact_row(neighbor_set)`,
+    so the result matches a scalar loop bit for bit.  A chunk holds
+    _CHUNK_ENTRIES entries of k+1, or one row when k+1 alone exceeds that.
     """
     ps = index.source
     Q = np.asarray(queries, dtype=np.float64)
@@ -196,11 +254,20 @@ def _batch(index: SpatialIndex, queries, k: int, fast_rows,
     k = _check_k(k, ps.n)
     out = np.empty(Q.shape[0], dtype=np.float64)
     rows = max(1, _CHUNK_ENTRIES // (k + 1))
+    order = index._order
+    if order is not None:
+        xs = ps.points[order, 0]
+        windows = sliding_window_view(order, k)
     for lo in range(0, Q.shape[0], rows):
         qc = Q[lo:lo + rows]
-        d, idx = index._tree.query(qc, k=k + 1)
-        gap = d[:, k] > d[:, k - 1] * (1.0 + _REL_SLACK)
-        fast, values = fast_rows(qc, d, idx, gap)
+        if order is None:
+            d, idx = index._tree.query(qc, k=k + 1)
+            gap = d[:, k] > d[:, k - 1] * (1.0 + _REL_SLACK)
+            fast, values = tree_rows(qc, d, idx, gap)
+        else:
+            a, r2, fast = _windows(xs, qc[:, 0], k)
+            starts = a[fast]
+            values = window_rows(r2[fast], lambda: windows[starts])
         block = out[lo:lo + rows]
         block[fast] = values
         for row in np.flatnonzero(~fast):
@@ -211,14 +278,15 @@ def _batch(index: SpatialIndex, queries, k: int, fast_rows,
 def knn_radii(index: SpatialIndex, queries, k: int) -> np.ndarray:
     """Exact k-NN radii for a batch of queries.
 
-    Rows with a clear gap after the k-th neighbor and few candidates near
-    it take the max exact distance over those candidates; the rest take
-    the single-query path, so the result matches a knn_query loop bit for
-    bit.
+    In D >= 2, rows with a clear gap after the k-th neighbor and few
+    candidates near it take the max exact distance over those candidates;
+    in D = 1, rows whose window passes the exact gap test take sqrt(r2).
+    The rest take the single-query path, so the result matches a
+    knn_query loop bit for bit.
     """
     pts = index.source.points
 
-    def fast_rows(qc, d, idx, gap):
+    def tree_rows(qc, d, idx, gap):
         k = d.shape[1] - 1
         dk = d[:, k - 1]
         tail = (d[:, :k] >= (dk * (1.0 - _REL_SLACK))[:, None]).sum(axis=1)
@@ -229,4 +297,5 @@ def knn_radii(index: SpatialIndex, queries, k: int) -> np.ndarray:
         diff = pts[idx[fast, k - t:k]] - qc[fast][:, None, :]
         return fast, np.sqrt((diff * diff).sum(axis=2).max(axis=1))
 
-    return _batch(index, queries, k, fast_rows, lambda ns: ns.radius)
+    return _batch(index, queries, k, tree_rows,
+                  lambda r2, members: np.sqrt(r2), lambda ns: ns.radius)

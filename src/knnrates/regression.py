@@ -118,17 +118,22 @@ def predict(reg: Regressor, query) -> float:
 def predict_batch(reg: Regressor, queries) -> np.ndarray:
     """Vectorized predict; exactly equal to a per-query predict loop.
 
-    Rows with a clear gap after the k-th neighbor average their k members
-    in ascending index order; rows with boundary ties fall back to the
-    exact scalar path.
+    Rows with a clear gap after the k-th neighbor (in D = 1, a neighbor
+    window that passes the exact gap test) average their k members in
+    ascending index order; rows with boundary ties fall back to the exact
+    scalar path.
     """
     k, y = reg.k, reg.data.y
 
-    def fast_rows(qc, d, idx, gap):
-        return gap, y[np.sort(idx[gap, :k], axis=1)].sum(axis=1) / k
+    def mean_rows(members):
+        # Both paths hand over a fresh array, so it is sorted in place.
+        members.sort(axis=1)
+        return y[members].sum(axis=1) / k
 
     return _batch(reg.index, queries, k,
-                  fast_rows, lambda ns: _mean_over(y, ns.member_indices))
+                  lambda qc, d, idx, gap: (gap, mean_rows(idx[gap, :k])),
+                  lambda r2, members: mean_rows(members()),
+                  lambda ns: _mean_over(y, ns.member_indices))
 
 
 def knn_radius(reg: Regressor, query) -> float:

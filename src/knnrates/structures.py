@@ -116,8 +116,7 @@ def estimate_maxima(reg: Regressor) -> MaximaEstimate:
                           value=float(preds[i]))
 
 
-def count_distinct_knn_sets(data: Dataset, k: int, probes,
-                            chunk: int = 2048) -> int:
+def count_distinct_knn_sets(data: Dataset, k: int, probes) -> int:
     """Number of distinct tie-inclusive neighbor sets seen over the probes.
 
     A lower bound on the true count over the continuum.  Full-scan
@@ -132,6 +131,7 @@ def count_distinct_knn_sets(data: Dataset, k: int, probes,
     if not (1 <= k <= n):
         raise ValueError(f"k={k} outside [1, n={n}]")
     seen = set()
+    chunk = 2048  # probes per full-scan block: chunk x n distances at a time
     for lo in range(0, ps.n, chunk):
         qc = ps.points[lo:lo + chunk]
         d2 = ((qc[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)

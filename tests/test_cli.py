@@ -259,3 +259,23 @@ class TestCoverageCommand:
         assert "coverage=" in err and "radius_coverage=" in err
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 1 + 2 * 2  # header + 2 quantities x 2 seeds
+
+    def test_summary_counts_each_trial_once(self, tmp_path, monkeypatch,
+                                            capsys):
+        import knnrates.cli as climod
+        from knnrates.experiments import CoverageResult, ExperimentRecord
+
+        # Two trials of 300 and 500 ms, each written as a sup_error and a
+        # radius_max record.
+        records = [ExperimentRecord("coverage", 256, 9, s, q, 0.1, 1.0, True,
+                                    ms)
+                   for s, ms in ((0, 300), (1, 500))
+                   for q in ("sup_error", "radius_max")]
+        monkeypatch.setattr(climod, "run_coverage", lambda cfg: CoverageResult(
+            1.0, 1.0, (), (), records))
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text(CONFIG.replace("experiment.kind = regression",
+                                      "experiment.kind = coverage"))
+        assert cli_main(["coverage", "--config", str(cfg), "--out",
+                         str(tmp_path / "cov.csv")]) == 0
+        assert "coverage: 4 records in ~800 ms" in capsys.readouterr().err

@@ -2,15 +2,19 @@
 arithmetic-exact equivariances on dyadic data, modulus and file format."""
 
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knnrates import (Dataset, PointSet, ScalarField, empirical_modulus,
-                      knn_query, knn_radii, knn_radius, make_field,
-                      make_regressor, predict, predict_batch, read_dataset,
-                      sup_error, write_dataset)
+import knnrates.neighbors as neighbors
+from knnrates import (Dataset, PointSet, Regressor, ScalarField,
+                      brute_force_knn, empirical_modulus, knn_query,
+                      knn_radii, knn_radius, make_field, make_regressor,
+                      predict, predict_batch, read_dataset, sup_error,
+                      write_dataset)
 
 
 def data1d(xs, ys):
@@ -99,6 +103,85 @@ class TestBatchAgreement:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def queries_1d(vals):
+    """Every sample point, every midpoint between sorted neighbors, both
+    zeros, and one point beyond each end of the hull."""
+    xs = np.unique(vals)
+    return np.concatenate([vals, (xs[:-1] + xs[1:]) / 2,
+                           [-0.0, 0.0, xs[0] - 1.5, xs[-1] + 1.5]])
+
+
+class TestBatchAgreement1D:
+    """D = 1 batches take the sorted-window kernel; its answers must be the
+    scalar ones bit for bit, ties and signed zeros included."""
+
+    @given(st.lists(st.one_of(st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0,
+                                               1.0, 2.0, 3.0]),
+                              st.floats(-4.0, 4.0)),
+                    min_size=1, max_size=24),
+           st.integers(min_value=1, max_value=24),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(vals=[0.0], k_pick=1, seed=0)
+    @example(vals=[-0.0, 0.0, 0.0, 1.0, -1.0], k_pick=2, seed=1)
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_scalar_bitwise(self, vals, k_pick, seed):
+        n = len(vals)
+        k = (k_pick - 1) % n + 1
+        y = np.random.default_rng(seed).standard_normal(n)
+        reg = make_regressor(data1d(vals, y), k)
+        Q = queries_1d(np.asarray(vals))
+        scalar = [knn_query(reg.index, [q], k) for q in Q]
+        assert np.array_equal(bits(predict_batch(reg, Q)),
+                              bits([predict(reg, [q]) for q in Q]))
+        assert np.array_equal(bits(knn_radii(reg.index, Q, k)),
+                              bits([ns.radius for ns in scalar]))
+        for q, ns in zip(Q, scalar):
+            oracle = brute_force_knn(reg.data.x, [q], k)
+            assert bits(ns.radius) == bits(oracle.radius)
+            assert np.array_equal(ns.member_indices, oracle.member_indices)
+
+    def test_continuous_data_skips_the_tree(self):
+        class NoTree:
+            def __getattr__(self, name):
+                raise AssertionError(f"tree.{name} called")
+
+        rng = np.random.default_rng(37)
+        X = rng.random((2000, 1))
+        Q = np.vstack([X, rng.uniform(-0.5, 1.5, (500, 1))])
+        ds = Dataset(PointSet(X), rng.standard_normal(2000))
+        for k in (1, 37, 1999, 2000):
+            reg = make_regressor(ds, k)
+            blind = Regressor(ds, dataclasses.replace(reg.index,
+                                                      _tree=NoTree()), k)
+            assert np.array_equal(bits(predict_batch(blind, Q)),
+                                  bits(predict_batch(reg, Q)))
+            assert np.array_equal(bits(knn_radii(blind.index, Q, k)),
+                                  bits(knn_radii(reg.index, Q, k)))
+
+    def test_only_tied_rows_fall_back(self, monkeypatch):
+        # The window search must find every tie-free window, so exactly the
+        # rows whose k-th and (k+1)-th distances tie take knn_query.  The
+        # run of 80 zeros is longer than the search's first step (64) plus
+        # k, so that step lands inside it for queries right of it.
+        rng = np.random.default_rng(41)
+        X = np.concatenate([np.zeros(80), np.arange(1.0, 41.0),
+                            rng.integers(1, 41, 30)]).reshape(-1, 1)
+        Q = queries_1d(X[:, 0])
+        reg = make_regressor(Dataset(PointSet(X), rng.standard_normal(150)),
+                             9)
+        tied = sum(brute_force_knn(X, [q], 9).count > 9 for q in Q)
+        calls = []
+        monkeypatch.setattr(neighbors, "knn_query",
+                            lambda *a: calls.append(1) or knn_query(*a))
+        predict_batch(reg, Q)
+        assert 0 < tied < len(Q)
+        assert len(calls) == tied
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
