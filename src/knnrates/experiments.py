@@ -39,6 +39,11 @@ class ConfigError(ValueError):
 
 EXPERIMENT_KINDS = ("regression", "levelset", "maxima", "coverage", "setcount")
 
+# The most probe points a config may ask for, grid or Halton cloud: 16 times
+# the largest any canned study uses (513^2, a 2-D grid of 512 cells).  In
+# 2-D their coordinates alone take 64 MiB.
+PROBE_BUDGET = 2 ** 22
+
 CSV_HEADER = "experiment,n,k,seed,quantity,value,bound,valid_k,ms"
 
 
@@ -115,6 +120,20 @@ class ExperimentConfig:
             raise ConfigError("trial.delta: must lie in (0, 1)")
         if self.density is None and self.manifold is None:
             raise ConfigError("density.kind or manifold.kind is required")
+        # probe_set and run_levelset lay a grid of probe_cells per axis over
+        # the arc length or a box of up to two dimensions (any dimension
+        # for levelset); other boxes take a Halton cloud of probe_count.
+        if self.manifold is not None:
+            grid = self.probe_cells + 1
+        elif self.density.dim <= 2 or self.kind == "levelset":
+            grid = (self.probe_cells + 1) ** self.density.dim
+        else:
+            grid = 0
+        for key, points in (("probes.cells", grid),
+                            ("probes.count", self.probe_count)):
+            if points > PROBE_BUDGET:
+                raise ConfigError(f"{key}: asks for {points} probe points, "
+                                  f"over the budget of {PROBE_BUDGET}")
 
 
 @dataclass(frozen=True)

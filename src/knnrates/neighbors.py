@@ -12,13 +12,16 @@ produce candidate supersets; the final radius and member set always come
 from the shared arithmetic.
 
 Batch queries (`knn_radii`, and `predict_batch` in the regression module)
-run one chunked kernel.  In D >= 2 it takes a k+1 tree query per chunk.
+run one chunked kernel.  In D >= 2 it takes a k+1 tree query per chunk;
+rows with a clear gap after the k-th neighbor are settled from it, and the
+rows that tie there are settled together, grouped by the size of their
+candidate balls.
 In D = 1 a tie-free neighbor set is a contiguous window of the points
 sorted by coordinate, so the kernel binary-searches each row's window
 start instead and accepts the window only when both points just outside
-it are strictly farther than its farther end; that test is exact.  In
-either dimension, rows the fast step cannot settle take the single-query
-path.
+it are strictly farther than its farther end; that test is exact.  A tied
+row's set is the window widened over the tied runs at both ends.  Only
+rows whose k-th distance is not finite take the single-query path.
 """
 
 from __future__ import annotations
@@ -36,9 +39,16 @@ from scipy.spatial import cKDTree
 # superset margin while adding essentially no spurious candidates.
 _REL_SLACK = 1e-9
 
-# Rows whose k-th distance is shared (or nearly shared) by more than this
-# many candidates fall back to the exact single-query path.
+# knn_radii settles a D >= 2 row from its tree query only when at most this
+# many candidates share (or nearly share) its k-th distance; the others are
+# settled with the tied rows.
 _TAIL_CAP = 8
+
+# Tied rows are settled in sub-batches of at most this many (row, member)
+# entries, or in D >= 2 (row, candidate) coordinates.  A D = 2 sub-batch
+# peaks near 80 bytes a candidate, about 0.6 MiB, so settling ties adds
+# little to the peak memory of a batch call.
+_TIE_ENTRIES = 2 ** 14
 
 # Tree-query entries (rows x (k+1)) per batch chunk.  A chunk peaks near
 # 32 bytes per entry (tree distances and indices plus the reductions'
@@ -199,9 +209,10 @@ def _windows(xs: np.ndarray, q: np.ndarray, k: int):
     A binary search finds, for each query, the start a of the window
     xs[a:a+k] that a tie-free k-NN set must occupy.  Its squared radius r2
     is the larger squared distance of the window's two ends, built with
-    diff * diff as in _sq_dists.  The row is `fast` only when both points
-    just outside the window, a-1 and a+k, are strictly farther than r2:
-    then the window is exactly the tie-inclusive neighbor set.  Returns
+    diff * diff as in _sq_dists; it is the row's k-th smallest squared
+    distance, ties or not.  The row is `fast` only when both points just
+    outside the window, a-1 and a+k, are strictly farther than r2: then the
+    window is exactly the tie-inclusive neighbor set.  Returns
     (a, r2, fast).
     """
     n = xs.shape[0]
@@ -228,20 +239,117 @@ def _windows(xs: np.ndarray, q: np.ndarray, k: int):
     return a, r2, fast
 
 
-def _batch(index: SpatialIndex, queries, k: int, tree_rows, window_rows,
-           exact_row) -> np.ndarray:
-    """The chunked loop under knn_radii and predict_batch.
+def _widen(xs: np.ndarray, q: np.ndarray, r2: np.ndarray, a: np.ndarray,
+           k: int):
+    """Tie-inclusive runs of 1-D rows whose window xs[a:a+k] has squared
+    radius r2.
 
-    In D >= 2 each chunk takes one k+1 tree query.  `tree_rows(qc, d, idx,
-    gap)` reduces the rows with a clear distance gap after the k-th
-    neighbor: it returns the mask of rows it resolved (a subset of `gap`)
-    and their values.  In D = 1 each chunk takes the window search of
-    _windows instead, and `window_rows(r2, members)` reduces its fast rows
-    from their squared radii and `members()`, the (rows, k) array of their
-    member indices, built only when called.  Every other row falls back to
-    the exact knn_query path and is reduced by `exact_row(neighbor_set)`,
-    so the result matches a scalar loop bit for bit.  A chunk holds
-    _CHUNK_ENTRIES entries of k+1, or one row when k+1 alone exceeds that.
+    Subtraction and diff * diff are monotone, so the set {d2 <= r2} is a
+    contiguous run [lo, hi) of the sorted order that holds the window.  Two
+    binary searches from the window's ends find lo in [0, a] and hi in
+    [a+k, n].
+    """
+    n = xs.shape[0]
+
+    def inside(j):
+        diff = xs[j] - q
+        return diff * diff <= r2
+
+    lo, last = a, a + (k - 1)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        c = lo - step
+        lo = np.where((c >= 0) & inside(np.maximum(c, 0)), c, lo)
+        c = last + step
+        last = np.where((c < n) & inside(np.minimum(c, n - 1)), c, last)
+        step >>= 1
+    return lo, last + 1
+
+
+def _mean_rows(y: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Mean of y over each row of the (rows, m) array `members`, summed in
+    ascending index order as the scalar path sums.  Sorts `members` in
+    place, so callers hand over a fresh array."""
+    members.sort(axis=1)
+    return y[members].sum(axis=1) / members.shape[1]
+
+
+def _run_means(y: np.ndarray, flat: np.ndarray, starts: np.ndarray,
+               counts: np.ndarray) -> np.ndarray:
+    """_mean_rows over flat[s:s+m] for each row's start s and count m.
+
+    Rows are grouped by m and gathered in (rows, m) blocks of at most
+    _TIE_ENTRIES entries.
+    """
+    out = np.empty(starts.shape[0], dtype=np.float64)
+    for m in np.unique(counts):
+        rows = np.flatnonzero(counts == m)
+        step = max(1, _TIE_ENTRIES // int(m))
+        for i in range(0, rows.size, step):
+            sub = rows[i:i + step]
+            out[sub] = _mean_rows(y, flat[starts[sub, None] + np.arange(m)])
+    return out
+
+
+def _tied_rows(index: SpatialIndex, qs: np.ndarray, r: np.ndarray, k: int,
+               y) -> np.ndarray:
+    """Radii (y None) or means of y for D >= 2 rows settled together.
+
+    `r` holds each row's tree k-th distance widened by _REL_SLACK, the
+    radius knn_query searches.  One counting ball query gives each row's
+    ball size; a row's that-many nearest tree neighbors are its ball, so a
+    tree query for width >= size neighbors returns a superset of it.  Rows
+    are grouped by width, the size rounded up to three significant bits
+    (at most a quarter more candidates, and few groups), and each group
+    takes one tree query: a dense (rows, width) block of candidates.
+    _sq_dists over the block gives each row's k-th value r2 and its
+    members d2 <= r2, the arithmetic of knn_query.  A tree query holds at
+    most _TIE_ENTRIES candidate coordinates, or one row.
+    """
+    tree, pts = index._tree, index.source.points
+    n, dim = pts.shape
+    sizes = tree.query_ball_point(qs, r, return_length=True)
+    # The ball holds at least the tree's own k nearest.
+    assert (sizes >= k).all()
+    step = 2 ** np.maximum(np.frexp(sizes)[1] - 3, 0)
+    widths = np.minimum(-(-sizes // step) * step, n)
+    out = np.empty(qs.shape[0], dtype=np.float64)
+    for m in np.unique(widths).tolist():
+        group = np.flatnonzero(widths == m)
+        rows = max(1, _TIE_ENTRIES // (m * dim))
+        for i in range(0, group.size, rows):
+            sub = group[i:i + rows]
+            q = qs[sub]
+            cand = tree.query(q, k=m)[1].reshape(sub.size, m)
+            d2 = _sq_dists(pts[cand.reshape(-1)],
+                           np.repeat(q, m, axis=0)).reshape(sub.size, m)
+            r2 = np.partition(d2, k - 1, axis=1)[:, k - 1]
+            if y is None:
+                out[sub] = np.sqrt(r2)
+            else:
+                keep = d2 <= r2[:, None]
+                counts = keep.sum(axis=1)
+                out[sub] = _run_means(y, cand[keep], np.cumsum(counts) - counts,
+                                      counts)
+    return out
+
+
+def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
+    """The chunked kernel under knn_radii (y None) and predict_batch (the
+    mean of y over each row's neighbor set).
+
+    In D >= 2 each chunk takes one k+1 tree query.  Rows with a clear
+    distance gap after the k-th neighbor are settled from it: a mean over
+    their k tree neighbors, or, for radii, the max exact distance over the
+    few candidates near the k-th (at most _TAIL_CAP).  The other rows with
+    a finite tree k-th distance are settled together by _tied_rows.  In
+    D = 1 each chunk takes the window search of _windows instead: every
+    row's squared radius is its window's r2, a fast row's members are its
+    window, and a tied row's members are the run _widen finds.  Only rows
+    whose k-th distance is not finite (it bounds no candidate set) take the
+    single-query path.  Every row gets the bits of a scalar loop.  A chunk
+    holds _CHUNK_ENTRIES entries of k+1, or one row when k+1 alone exceeds
+    that.
     """
     ps = index.source
     Q = np.asarray(queries, dtype=np.float64)
@@ -260,42 +368,54 @@ def _batch(index: SpatialIndex, queries, k: int, tree_rows, window_rows,
         windows = sliding_window_view(order, k)
     for lo in range(0, Q.shape[0], rows):
         qc = Q[lo:lo + rows]
-        if order is None:
-            d, idx = index._tree.query(qc, k=k + 1)
-            gap = d[:, k] > d[:, k - 1] * (1.0 + _REL_SLACK)
-            fast, values = tree_rows(qc, d, idx, gap)
-        else:
-            a, r2, fast = _windows(xs, qc[:, 0], k)
-            starts = a[fast]
-            values = window_rows(r2[fast], lambda: windows[starts])
         block = out[lo:lo + rows]
-        block[fast] = values
-        for row in np.flatnonzero(~fast):
-            block[row] = exact_row(knn_query(index, qc[row], k))
+        if order is not None:
+            a, r2, fast = _windows(xs, qc[:, 0], k)
+            if y is None:
+                block[:] = np.sqrt(r2)
+            else:
+                block[fast] = _mean_rows(y, windows[a[fast]])
+                tied = np.flatnonzero(~fast & np.isfinite(r2))
+                if tied.size:
+                    run_lo, run_hi = _widen(xs, qc[tied, 0], r2[tied],
+                                            a[tied], k)
+                    block[tied] = _run_means(y, order, run_lo,
+                                             run_hi - run_lo)
+            exact = ~fast & ~np.isfinite(r2)
+        else:
+            d, idx = index._tree.query(qc, k=k + 1)
+            dk = d[:, k - 1]
+            fast = d[:, k] > dk * (1.0 + _REL_SLACK)
+            if y is None:
+                tail = (d[:, :k] >= (dk * (1.0 - _REL_SLACK))[:, None]).sum(axis=1)
+                fast &= tail <= _TAIL_CAP
+                if fast.any():
+                    t = int(tail[fast].max())
+                    diff = ps.points[idx[fast, k - t:k]] - qc[fast][:, None, :]
+                    block[fast] = np.sqrt((diff * diff).sum(axis=2).max(axis=1))
+            else:
+                block[fast] = _mean_rows(y, idx[fast, :k])
+            tied = np.flatnonzero(~fast & np.isfinite(dk))
+            if tied.size:
+                block[tied] = _tied_rows(index, qc[tied],
+                                         dk[tied] * (1.0 + _REL_SLACK), k, y)
+            exact = ~fast & ~np.isfinite(dk)
+        for row in np.flatnonzero(exact):
+            ns = knn_query(index, qc[row], k)
+            block[row] = ns.radius if y is None else \
+                _mean_rows(y, ns.member_indices[None])[0]
     return out
 
 
 def knn_radii(index: SpatialIndex, queries, k: int) -> np.ndarray:
     """Exact k-NN radii for a batch of queries.
 
-    In D >= 2, rows with a clear gap after the k-th neighbor and few
-    candidates near it take the max exact distance over those candidates;
-    in D = 1, rows whose window passes the exact gap test take sqrt(r2).
-    The rest take the single-query path, so the result matches a
-    knn_query loop bit for bit.
+    In D = 1 every row takes sqrt(r2) of its sorted window.  In D >= 2,
+    rows with a clear gap after the k-th neighbor and few candidates near
+    it take the max exact distance over those candidates, and the other
+    rows the k-th exact distance over their grouped candidate blocks
+    (_tied_rows).  Only rows
+    whose k-th distance is not finite take knn_query.  The result matches
+    a knn_query loop bit for bit.
     """
-    pts = index.source.points
-
-    def tree_rows(qc, d, idx, gap):
-        k = d.shape[1] - 1
-        dk = d[:, k - 1]
-        tail = (d[:, :k] >= (dk * (1.0 - _REL_SLACK))[:, None]).sum(axis=1)
-        fast = gap & (tail <= _TAIL_CAP)
-        if not fast.any():
-            return fast, 0.0
-        t = int(tail[fast].max())
-        diff = pts[idx[fast, k - t:k]] - qc[fast][:, None, :]
-        return fast, np.sqrt((diff * diff).sum(axis=2).max(axis=1))
-
-    return _batch(index, queries, k, tree_rows,
-                  lambda r2, members: np.sqrt(r2), lambda ns: ns.radius)
+    return _batch(index, queries, k)

@@ -103,37 +103,25 @@ def make_regressor(data: Dataset, k: int) -> Regressor:
     return Regressor(data=data, index=build_index(data.x), k=int(k))
 
 
-def _mean_over(y: np.ndarray, members: np.ndarray) -> float:
-    # Shared by the scalar path and the batch fallback: sum over members in
-    # ascending index order, divide by the member count.
-    return float(np.sum(y[members]) / members.size)
-
-
 def predict(reg: Regressor, query) -> float:
-    """Mean observation over the tie-inclusive neighbor set of the query."""
-    ns = knn_query(reg.index, query, reg.k)
-    return _mean_over(reg.data.y, ns.member_indices)
+    """Mean observation over the tie-inclusive neighbor set of the query:
+    the sum over members in ascending index order, divided by the member
+    count."""
+    members = knn_query(reg.index, query, reg.k).member_indices
+    return float(np.sum(reg.data.y[members]) / members.size)
 
 
 def predict_batch(reg: Regressor, queries) -> np.ndarray:
     """Vectorized predict; exactly equal to a per-query predict loop.
 
     Rows with a clear gap after the k-th neighbor (in D = 1, a neighbor
-    window that passes the exact gap test) average their k members in
-    ascending index order; rows with boundary ties fall back to the exact
-    scalar path.
+    window that passes the exact gap test) average their k members; tied
+    rows average their whole tie-inclusive set, found together for the
+    batch (a widened window in D = 1, candidate blocks grouped by ball
+    size in D >= 2).  Every mean sums in ascending index order and divides
+    by the member count, as predict does.
     """
-    k, y = reg.k, reg.data.y
-
-    def mean_rows(members):
-        # Both paths hand over a fresh array, so it is sorted in place.
-        members.sort(axis=1)
-        return y[members].sum(axis=1) / k
-
-    return _batch(reg.index, queries, k,
-                  lambda qc, d, idx, gap: (gap, mean_rows(idx[gap, :k])),
-                  lambda r2, members: mean_rows(members()),
-                  lambda ns: _mean_over(y, ns.member_indices))
+    return _batch(reg.index, queries, reg.k, reg.data.y)
 
 
 def knn_radius(reg: Regressor, query) -> float:

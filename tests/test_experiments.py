@@ -339,6 +339,35 @@ class TestProbes:
         assert probes.n == 256 and h is None
         assert ((probes.points >= 0) & (probes.points <= 1)).all()
 
+    @pytest.mark.parametrize("over, key", [
+        ({"probes.cells": "100000",
+          "density.low": "0, 0", "density.high": "1, 1"}, "probes.cells"),
+        ({"probes.cells": "4194304"}, "probes.cells"),
+        ({"experiment.kind": "levelset", "level.lambda": "0.5",
+          "probes.cells": "512", "density.low": "0, 0, 0",
+          "density.high": "1, 1, 1"}, "probes.cells"),
+        ({"probes.count": "4194305"}, "probes.count"),
+        ({"manifold.kind": "circle", "manifold.ambient_dim": "4",
+          "manifold.radius": "0.1592", "probes.cells": "4194304"},
+         "probes.cells")])
+    def test_oversized_probe_sets_rejected(self, over, key):
+        pairs = base_pairs(**over)
+        if "manifold.kind" in over:
+            for name in [n for n in pairs if n.startswith("density.")]:
+                del pairs[name]
+        with pytest.raises(ConfigError, match=f"^{key}: .* over the budget"):
+            build_config(pairs)
+
+    def test_probe_budget_edge_accepted(self):
+        # 2048^2 grid points is exactly the budget; a Halton box ignores
+        # the grid setting.
+        build_config(base_pairs(**{"probes.cells": "2047", "density.low": "0, 0",
+                                   "density.high": "1, 1"}))
+        build_config(base_pairs(**{"probes.cells": "100000",
+                                   "probes.count": "4194304",
+                                   "density.low": "0, 0, 0",
+                                   "density.high": "1, 1, 1"}))
+
     def test_manifold_probe(self):
         cfg = build_config({
             "experiment.kind": "regression", "seed.master": "1",

@@ -164,24 +164,135 @@ class TestBatchAgreement1D:
             assert np.array_equal(bits(knn_radii(blind.index, Q, k)),
                                   bits(knn_radii(reg.index, Q, k)))
 
-    def test_only_tied_rows_fall_back(self, monkeypatch):
-        # The window search must find every tie-free window, so exactly the
-        # rows whose k-th and (k+1)-th distances tie take knn_query.  The
-        # run of 80 zeros is longer than the search's first step (64) plus
-        # k, so that step lands inside it for queries right of it.
-        rng = np.random.default_rng(41)
-        X = np.concatenate([np.zeros(80), np.arange(1.0, 41.0),
-                            rng.integers(1, 41, 30)]).reshape(-1, 1)
-        Q = queries_1d(X[:, 0])
-        reg = make_regressor(Dataset(PointSet(X), rng.standard_normal(150)),
-                             9)
-        tied = sum(brute_force_knn(X, [q], 9).count > 9 for q in Q)
+
+def tie_data():
+    """80 zeros (longer than the 1-D search's first step, 64, plus k), a
+    run of integers and 30 duplicates of them: most queries tie."""
+    rng = np.random.default_rng(41)
+    X = np.concatenate([np.zeros(80), np.arange(1.0, 41.0),
+                        rng.integers(1, 41, 30)]).reshape(-1, 1)
+    return X, rng.standard_normal(150)
+
+
+def lattice_queries(X):
+    """Every sample point, each shifted by a half-step on the first axis
+    and on all axes, and one point beyond each corner of the hull."""
+    half = np.zeros(X.shape[1])
+    half[0] = 0.5
+    return np.vstack([X, X + half, X + 0.5, X.min(axis=0) - 1.5,
+                      X.max(axis=0) + 1.5])
+
+
+def assert_batch_equals_scalar(reg, Q):
+    k = reg.k
+    assert np.array_equal(bits(predict_batch(reg, Q)),
+                          bits([predict(reg, q) for q in Q]))
+    assert np.array_equal(bits(knn_radii(reg.index, Q, k)),
+                          bits([knn_query(reg.index, q, k).radius
+                                for q in Q]))
+
+
+class InfTree:
+    """A kd-tree whose query reports every neighbor distance of the
+    queries marked by `marked(q)` as infinite."""
+
+    def __init__(self, tree, marked):
+        self.tree, self.marked = tree, marked
+
+    def query(self, q, k):
+        d, i = self.tree.query(q, k=k)
+        d = np.array(d)
+        d[self.marked(np.asarray(q))] = np.inf
+        return d, i
+
+    def __getattr__(self, name):
+        return getattr(self.tree, name)
+
+
+class TestTiedRows:
+    """Rows that tie at the k-th distance are settled together, without a
+    single-query call per row, and still get the scalar bits."""
+
+    def test_only_nonfinite_rows_reach_knn_query(self, monkeypatch):
+        X, y = tie_data()
+        X2 = np.column_stack([X[:, 0], np.arange(150) % 2])
         calls = []
         monkeypatch.setattr(neighbors, "knn_query",
                             lambda *a: calls.append(1) or knn_query(*a))
-        predict_batch(reg, Q)
-        assert 0 < tied < len(Q)
-        assert len(calls) == tied
+        for pts, Q in ((X, queries_1d(X[:, 0])), (X2, lattice_queries(X2))):
+            reg = make_regressor(Dataset(PointSet(pts), y), 9)
+            tied = sum(brute_force_knn(pts, q, 9).count > 9 for q in Q)
+            assert 0 < tied < len(Q)
+            calls.clear()
+            predict_batch(reg, Q)
+            knn_radii(reg.index, Q, 9)
+            assert calls == []
+            assert_batch_equals_scalar(reg, Q)
+
+        # In D >= 2 a row whose tree k-th distance is not finite bounds no
+        # candidate set, so it alone takes knn_query.
+        marked = lambda q: q[..., 1] == 0.5  # noqa: E731
+        reg = make_regressor(Dataset(PointSet(X2), y), 9)
+        reg = Regressor(reg.data, dataclasses.replace(
+            reg.index, _tree=InfTree(reg.index._tree, marked)), 9)
+        Q = lattice_queries(X2)
+        calls.clear()
+        got = predict_batch(reg, Q), knn_radii(reg.index, Q, 9)
+        assert len(calls) == 2 * marked(Q).sum() > 0
+        exact = make_regressor(Dataset(PointSet(X2), y), 9)
+        assert np.array_equal(bits(got[0]),
+                              bits([predict(exact, q) for q in Q]))
+        assert np.array_equal(bits(got[1]),
+                              bits([knn_query(exact.index, q, 9).radius
+                                    for q in Q]))
+
+    @given(st.sampled_from([2, 3]), st.data())
+    @example(dim=2, data=None)
+    @settings(max_examples=200, deadline=None)
+    def test_lattice_batch_equals_scalar_bitwise(self, dim, data):
+        # Points drawn from a pool of at most six lattice sites, so
+        # duplicates are the rule; the explicit example is n = 24 copies of
+        # one point.
+        if data is None:
+            X, seed = np.zeros((24, dim)), 0
+        else:
+            site = st.tuples(*[st.integers(-2, 2)] * dim)
+            pool = data.draw(st.lists(site, min_size=1, max_size=6))
+            picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                       min_size=1, max_size=24))
+            X = np.asarray([pool[i] for i in picks], dtype=float)
+            seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        n = X.shape[0]
+        y = np.random.default_rng(seed).standard_normal(n)
+        Q = lattice_queries(X)
+        for k in range(1, n + 1):
+            reg = make_regressor(Dataset(PointSet(X), y), k)
+            assert_batch_equals_scalar(reg, Q)
+            for q in Q:
+                ns, oracle = knn_query(reg.index, q, k), brute_force_knn(X, q, k)
+                assert bits(ns.radius) == bits(oracle.radius)
+                assert np.array_equal(ns.member_indices, oracle.member_indices)
+
+    @pytest.mark.parametrize("path", ["predict_batch", "knn_radii"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_all_tied_peak_bounded(self, dim, path):
+        # Every row ties with all n points at k = 1.
+        import tracemalloc
+
+        y = np.random.default_rng(43).standard_normal(4096)
+        reg = make_regressor(Dataset(PointSet(np.zeros((4096, dim))), y), 1)
+        call = {"predict_batch": lambda: predict_batch(reg, reg.data.x.points),
+                "knn_radii": lambda: knn_radii(reg.index, reg.data.x.points,
+                                               1)}[path]
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        want = np.sum(y) / 4096 if path == "predict_batch" else 0.0
+        assert np.array_equal(out, np.full(4096, want))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
