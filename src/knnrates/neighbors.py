@@ -22,6 +22,13 @@ start instead and accepts the window only when both points just outside
 it are strictly farther than its farther end; that test is exact.  A tied
 row's set is the window widened over the tied runs at both ends.  Only
 rows whose k-th distance is not finite take the single-query path.
+
+The mean of observations over a neighbor set (`predict_batch`, and
+`predict` in the regression module) is correctly rounded: the exact sum
+divided by the member count, rounded once, so it does not depend on the
+order of the members.  The exact sums come from int64 limbs of the
+observations (`_limbs`); in D = 1 a row's sum is the difference of two
+prefix sums over the sorted order, so no row is gathered or sorted.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 # Candidate windows from the kd-tree are widened by this relative slack
@@ -44,10 +50,10 @@ _REL_SLACK = 1e-9
 # settled with the tied rows.
 _TAIL_CAP = 8
 
-# Tied rows are settled in sub-batches of at most this many (row, member)
-# entries, or in D >= 2 (row, candidate) coordinates.  A D = 2 sub-batch
-# peaks near 80 bytes a candidate, about 0.6 MiB, so settling ties adds
-# little to the peak memory of a batch call.
+# Tied D >= 2 rows are settled in sub-batches of at most this many
+# (row, candidate) coordinates.  A D = 2 sub-batch peaks near 80 bytes a
+# candidate, about 0.6 MiB, so settling ties adds little to the peak
+# memory of a batch call.
 _TIE_ENTRIES = 2 ** 14
 
 # Tree-query entries (rows x (k+1)) per batch chunk.  A chunk peaks near
@@ -266,34 +272,70 @@ def _widen(xs: np.ndarray, q: np.ndarray, r2: np.ndarray, a: np.ndarray,
     return lo, last + 1
 
 
-def _mean_rows(y: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Mean of y over each row of the (rows, m) array `members`, summed in
-    ascending index order as the scalar path sums.  Sorts `members` in
-    place, so callers hand over a fresh array."""
-    members.sort(axis=1)
-    return y[members].sum(axis=1) / members.shape[1]
+def _limbs(y: np.ndarray):
+    """Exact int64 limbs of the observations y.
 
-
-def _run_means(y: np.ndarray, flat: np.ndarray, starts: np.ndarray,
-               counts: np.ndarray) -> np.ndarray:
-    """_mean_rows over flat[s:s+m] for each row's start s and count m.
-
-    Rows are grouped by m and gathered in (rows, m) blocks of at most
-    _TIE_ENTRIES entries.
+    Each y is M * 2**s with |M| < 2**53.  Scaled to the smallest exponent e
+    of the nonzero y, every y is the integer M << (s - e), split here into
+    limbs of `bits` bits with M's sign: y[i] = 2**e * sum over l of
+    parts[l, i] << (bits * l).  Since len(y) << bits < 2**63, any sum of
+    at most len(y) entries of a limb, prefix sums included, is exact in
+    int64.  The number of limbs follows from the exponent range of y, so
+    any finite y, subnormals included, is covered.  Returns
+    (parts, bits, e).
     """
-    out = np.empty(starts.shape[0], dtype=np.float64)
-    for m in np.unique(counts):
-        rows = np.flatnonzero(counts == m)
-        step = max(1, _TIE_ENTRIES // int(m))
-        for i in range(0, rows.size, step):
-            sub = rows[i:i + step]
-            out[sub] = _mean_rows(y, flat[starts[sub, None] + np.arange(m)])
-    return out
+    frac, s = np.frexp(y)
+    mant = np.ldexp(frac, 53).astype(np.int64)
+    nonzero = mant != 0
+    e = int(s[nonzero].min()) - 53 if nonzero.any() else 0
+    shift = np.where(nonzero, s.astype(np.int64) - 53 - e, 0)
+    bits = 63 - y.size.bit_length()
+    mag = np.abs(mant)
+    parts = np.empty(((int(shift.max(initial=0)) + 52) // bits + 1, y.size),
+                     dtype=np.int64)
+    for limb, part in enumerate(parts):
+        # The limb holds bits [bits*l, bits*(l+1)) of mag << shift.  numpy
+        # shifts by 64 bits or more give 0.  (np.clip costs more than the
+        # rest of the loop on a small set.)
+        up = np.minimum(np.maximum(shift - bits * limb, 0), bits)
+        down = np.maximum(bits * limb - shift, 0)
+        part[:] = ((mag >> down) & ((1 << (bits - up)) - 1)) << up
+    parts *= np.sign(mant)
+    return parts, bits, e
+
+
+def _means(sums: np.ndarray, counts, bits: int, e: int) -> np.ndarray:
+    """Correctly rounded means from exact limb sums.
+
+    `sums` is the (limbs, rows) array of each row's limb sums over its
+    members, in the scale of _limbs(y) (bits, e), and `counts` the member
+    count of each row (or one count for all).  Each row's exact sum S is
+    rebuilt as a Python int (in an object array) and divided with
+    int / int, which is correctly rounded; for e < 0, 2**-e goes into the
+    divisor so that a subnormal result is rounded once.
+    """
+    total = sums[-1].astype(object)
+    for part in sums[-2::-1]:
+        total = (total << bits) + part.astype(object)
+    counts = np.asarray(counts).astype(object)
+    if e >= 0:
+        quotient = (total << e) / counts
+    else:
+        quotient = total / (counts << -e)
+    return quotient.astype(np.float64)
+
+
+def _exact_mean(values: np.ndarray) -> float:
+    """The correctly rounded mean of the 1-D array `values`."""
+    parts, bits, e = _limbs(values)
+    return float(_means(parts.sum(axis=1, keepdims=True), values.size, bits,
+                        e)[0])
 
 
 def _tied_rows(index: SpatialIndex, qs: np.ndarray, r: np.ndarray, k: int,
-               y) -> np.ndarray:
-    """Radii (y None) or means of y for D >= 2 rows settled together.
+               limbs) -> np.ndarray:
+    """Radii (limbs None) or means, from the _limbs of y, for D >= 2 rows
+    settled together.
 
     `r` holds each row's tree k-th distance widened by _REL_SLACK, the
     radius knn_query searches.  One counting ball query gives each row's
@@ -303,8 +345,9 @@ def _tied_rows(index: SpatialIndex, qs: np.ndarray, r: np.ndarray, k: int,
     (at most a quarter more candidates, and few groups), and each group
     takes one tree query: a dense (rows, width) block of candidates.
     _sq_dists over the block gives each row's k-th value r2 and its
-    members d2 <= r2, the arithmetic of knn_query.  A tree query holds at
-    most _TIE_ENTRIES candidate coordinates, or one row.
+    members d2 <= r2, the arithmetic of knn_query; one reduceat per limb
+    over the flat members sums every row.  A tree query holds at most
+    _TIE_ENTRIES candidate coordinates, or one row.
     """
     tree, pts = index._tree, index.source.points
     n, dim = pts.shape
@@ -324,13 +367,16 @@ def _tied_rows(index: SpatialIndex, qs: np.ndarray, r: np.ndarray, k: int,
             d2 = _sq_dists(pts[cand.reshape(-1)],
                            np.repeat(q, m, axis=0)).reshape(sub.size, m)
             r2 = np.partition(d2, k - 1, axis=1)[:, k - 1]
-            if y is None:
+            if limbs is None:
                 out[sub] = np.sqrt(r2)
             else:
+                parts, bits, e = limbs
                 keep = d2 <= r2[:, None]
                 counts = keep.sum(axis=1)
-                out[sub] = _run_means(y, cand[keep], np.cumsum(counts) - counts,
-                                      counts)
+                flat, starts = cand[keep], np.cumsum(counts) - counts
+                sums = np.stack([np.add.reduceat(part[flat], starts)
+                                 for part in parts])
+                out[sub] = _means(sums, counts, bits, e)
     return out
 
 
@@ -340,16 +386,18 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
 
     In D >= 2 each chunk takes one k+1 tree query.  Rows with a clear
     distance gap after the k-th neighbor are settled from it: a mean over
-    their k tree neighbors, or, for radii, the max exact distance over the
-    few candidates near the k-th (at most _TAIL_CAP).  The other rows with
-    a finite tree k-th distance are settled together by _tied_rows.  In
-    D = 1 each chunk takes the window search of _windows instead: every
-    row's squared radius is its window's r2, a fast row's members are its
-    window, and a tied row's members are the run _widen finds.  Only rows
-    whose k-th distance is not finite (it bounds no candidate set) take the
-    single-query path.  Every row gets the bits of a scalar loop.  A chunk
-    holds _CHUNK_ENTRIES entries of k+1, or one row when k+1 alone exceeds
-    that.
+    their k tree neighbors (summed one limb at a time), or, for radii, the
+    max exact distance over the few candidates near the k-th (at most
+    _TAIL_CAP).  The other rows with a finite tree k-th distance are
+    settled together by _tied_rows.  In D = 1 each chunk takes the window
+    search of _windows instead: every row's squared radius is its window's
+    r2, a fast row's members are its window, and a tied row's members are
+    the run _widen finds; either way a row's limb sums are the differences
+    of the prefix sums at the ends of its run.  Only rows whose k-th
+    distance is not finite (it bounds no candidate set) take the
+    single-query path.  Every mean is the correctly rounded one (_means),
+    and every row gets the bits of a scalar loop.  A chunk holds
+    _CHUNK_ENTRIES entries of k+1, or one row when k+1 alone exceeds that.
     """
     ps = index.source
     Q = np.asarray(queries, dtype=np.float64)
@@ -362,31 +410,38 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     k = _check_k(k, ps.n)
     out = np.empty(Q.shape[0], dtype=np.float64)
     rows = max(1, _CHUNK_ENTRIES // (k + 1))
+    limbs = None if y is None else _limbs(y)
+    if limbs is not None:
+        parts, bits, e = limbs
     order = index._order
     if order is not None:
         xs = ps.points[order, 0]
-        windows = sliding_window_view(order, k)
+        if limbs is not None:
+            prefix = np.zeros((parts.shape[0], ps.n + 1), dtype=np.int64)
+            np.cumsum(parts[:, order], axis=1, out=prefix[:, 1:])
     for lo in range(0, Q.shape[0], rows):
         qc = Q[lo:lo + rows]
         block = out[lo:lo + rows]
         if order is not None:
             a, r2, fast = _windows(xs, qc[:, 0], k)
-            if y is None:
+            exact = ~fast & ~np.isfinite(r2)
+            if limbs is None:
                 block[:] = np.sqrt(r2)
             else:
-                block[fast] = _mean_rows(y, windows[a[fast]])
-                tied = np.flatnonzero(~fast & np.isfinite(r2))
+                run_lo, run_hi = a, a + k
+                tied = np.flatnonzero(~fast & ~exact)
                 if tied.size:
-                    run_lo, run_hi = _widen(xs, qc[tied, 0], r2[tied],
-                                            a[tied], k)
-                    block[tied] = _run_means(y, order, run_lo,
-                                             run_hi - run_lo)
-            exact = ~fast & ~np.isfinite(r2)
+                    run_lo[tied], run_hi[tied] = _widen(
+                        xs, qc[tied, 0], r2[tied], a[tied], k)
+                done = np.flatnonzero(~exact)
+                run_lo, run_hi = run_lo[done], run_hi[done]
+                block[done] = _means(prefix[:, run_hi] - prefix[:, run_lo],
+                                     run_hi - run_lo, bits, e)
         else:
             d, idx = index._tree.query(qc, k=k + 1)
             dk = d[:, k - 1]
             fast = d[:, k] > dk * (1.0 + _REL_SLACK)
-            if y is None:
+            if limbs is None:
                 tail = (d[:, :k] >= (dk * (1.0 - _REL_SLACK))[:, None]).sum(axis=1)
                 fast &= tail <= _TAIL_CAP
                 if fast.any():
@@ -394,16 +449,20 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
                     diff = ps.points[idx[fast, k - t:k]] - qc[fast][:, None, :]
                     block[fast] = np.sqrt((diff * diff).sum(axis=2).max(axis=1))
             else:
-                block[fast] = _mean_rows(y, idx[fast, :k])
+                members = idx[fast, :k]
+                block[fast] = _means(np.stack([part[members].sum(axis=1)
+                                               for part in parts]),
+                                     k, bits, e)
             tied = np.flatnonzero(~fast & np.isfinite(dk))
             if tied.size:
                 block[tied] = _tied_rows(index, qc[tied],
-                                         dk[tied] * (1.0 + _REL_SLACK), k, y)
+                                         dk[tied] * (1.0 + _REL_SLACK), k,
+                                         limbs)
             exact = ~fast & ~np.isfinite(dk)
         for row in np.flatnonzero(exact):
             ns = knn_query(index, qc[row], k)
             block[row] = ns.radius if y is None else \
-                _mean_rows(y, ns.member_indices[None])[0]
+                _exact_mean(y[ns.member_indices])
     return out
 
 

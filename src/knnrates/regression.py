@@ -2,8 +2,10 @@
 
 The prediction at x is the unweighted mean of the observations over the
 tie-inclusive neighbor set N_k(x); when ties inflate the set beyond k the
-mean divides by the actual member count.  Scalar and batch prediction paths
-share arithmetic and agree exactly.
+mean divides by the actual member count.  Every path returns the correctly
+rounded mean, the exact sum over the count rounded once, which does not
+depend on the order of the members; so scalar and batch prediction agree
+exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .neighbors import (PointSet, SpatialIndex, as_point_set, build_index,
-                        knn_query, _batch)
+                        knn_query, _batch, _exact_mean)
 
 
 @dataclass(frozen=True)
@@ -105,10 +107,10 @@ def make_regressor(data: Dataset, k: int) -> Regressor:
 
 def predict(reg: Regressor, query) -> float:
     """Mean observation over the tie-inclusive neighbor set of the query:
-    the sum over members in ascending index order, divided by the member
-    count."""
+    the exact sum of the members' observations divided by the member
+    count, correctly rounded."""
     members = knn_query(reg.index, query, reg.k).member_indices
-    return float(np.sum(reg.data.y[members]) / members.size)
+    return _exact_mean(reg.data.y[members])
 
 
 def predict_batch(reg: Regressor, queries) -> np.ndarray:
@@ -118,8 +120,8 @@ def predict_batch(reg: Regressor, queries) -> np.ndarray:
     window that passes the exact gap test) average their k members; tied
     rows average their whole tie-inclusive set, found together for the
     batch (a widened window in D = 1, candidate blocks grouped by ball
-    size in D >= 2).  Every mean sums in ascending index order and divides
-    by the member count, as predict does.
+    size in D >= 2).  Every mean is the correctly rounded exact sum over
+    the member count, as in predict.
     """
     return _batch(reg.index, queries, reg.k, reg.data.y)
 

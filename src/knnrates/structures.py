@@ -136,7 +136,10 @@ def count_distinct_knn_sets(data: Dataset, k: int, probes) -> int:
         qc = ps.points[lo:lo + chunk]
         d2 = ((qc[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        masks = d2 <= kth[:, None]
-        packed = np.packbits(masks, axis=1)
-        seen.update(row.tobytes() for row in packed)
+        packed = np.packbits(d2 <= kth[:, None], axis=1)
+        # Neighboring grid probes mostly share a set: hash a row only when
+        # it differs from the one before.
+        fresh = np.ones(packed.shape[0], dtype=bool)
+        fresh[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+        seen.update(row.tobytes() for row in packed[fresh])
     return len(seen)

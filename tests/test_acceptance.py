@@ -2,8 +2,9 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see one PASS/FAIL line per
 criterion.  Criteria 2-7 are seeded Monte Carlo studies driven by the
-canned configs under scripts/configs/; the whole module takes on the order
-of fifteen minutes on one core, dominated by the level-set ladder.
+canned configs under scripts/configs/; the whole module takes about 25
+seconds on a 2-vCPU machine, most of it in the 10-D manifold study (AC3)
+and the level-set ladder (AC6).
 """
 
 import math

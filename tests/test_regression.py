@@ -3,6 +3,7 @@ arithmetic-exact equivariances on dyadic data, modulus and file format."""
 
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,12 @@ from knnrates import (Dataset, PointSet, Regressor, ScalarField,
 def data1d(xs, ys):
     return Dataset(PointSet(np.asarray(xs, dtype=float)),
                    np.asarray(ys, dtype=float))
+
+
+def exact_mean(values):
+    """The oracle mean: the exact rational sum over its count, rounded once."""
+    return float(sum(map(Fraction, np.asarray(values).tolist()))
+                 / len(values))
 
 
 def dyadic_dataset(rng, n, dim, denom=1024.0):
@@ -44,7 +51,7 @@ class TestPredict:
         rng = np.random.default_rng(0)
         y = rng.standard_normal(20)
         reg = make_regressor(Dataset(PointSet(rng.random((20, 2))), y), 20)
-        expect = float(np.sum(y) / 20)
+        expect = exact_mean(y)
         for q in rng.random((10, 2)):
             assert predict(reg, q) == expect
 
@@ -291,8 +298,73 @@ class TestTiedRows:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
-        want = np.sum(y) / 4096 if path == "predict_batch" else 0.0
+        want = exact_mean(y) if path == "predict_batch" else 0.0
         assert np.array_equal(out, np.full(4096, want))
+
+
+@st.composite
+def wide_range_data(draw, dim):
+    """Points from a pool of at most eight sites (lattice or continuous
+    coordinates), so both tie-free and tied rows occur, and observations
+    over the whole finite range: subnormals, signed zeros, the largest
+    finite values, and pairs y, -y that cancel."""
+    coord = st.one_of(st.integers(-2, 2).map(float), st.floats(-2.0, 2.0))
+    pool = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=24))
+    n = len(picks)
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1.7976931348623157e308, 1.0, -3.0]))
+    y = draw(st.lists(value, min_size=n, max_size=n))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=n)):
+        y[j] = -y[i]
+    return np.asarray([pool[i] for i in picks], dtype=float), np.asarray(y)
+
+
+# Four points on a line with y = 1e308, 1, -1e308, 3: at the query (1, 0)
+# k = 3 is a tie-free row and k = 2 a tied one, and a float sum of either
+# set cancels the 1 away.  With y reversed the same holds at (2, 0), a
+# query the test sends to the knn_query fallback.
+LINE = np.column_stack([np.arange(4.0), np.zeros(4)])
+LINE_Y = np.array([1e308, 1.0, -1e308, 3.0])
+
+
+class TestExactMeans:
+    """Every prediction path returns the correctly rounded mean of its
+    neighbor set's observations: the exact sum over the member count,
+    rounded once."""
+
+    @given(st.sampled_from([1, 2, 3]).flatmap(wide_range_data),
+           st.integers(min_value=1, max_value=24))
+    @example(data=(LINE[:, :1], LINE_Y), k_pick=3)
+    @example(data=(LINE[:, :1], LINE_Y), k_pick=2)
+    @example(data=(LINE, LINE_Y), k_pick=3)
+    @example(data=(LINE, LINE_Y), k_pick=2)
+    @example(data=(np.column_stack([LINE, LINE[:, :1]]), LINE_Y), k_pick=2)
+    @example(data=(LINE, LINE_Y[::-1]), k_pick=3)
+    @settings(max_examples=300, deadline=None)
+    def test_every_path_equals_exact_oracle(self, data, k_pick):
+        X, y = data
+        n, dim = X.shape
+        k = (k_pick - 1) % n + 1
+        reg = make_regressor(Dataset(PointSet(X), y), k)
+        Q = lattice_queries(X)
+        want = bits([exact_mean(y[brute_force_knn(X, q, k).member_indices])
+                     for q in Q])
+        assert np.array_equal(bits([predict(reg, q) for q in Q]), want)
+        assert np.array_equal(bits(predict_batch(reg, Q)), want)
+        if dim > 1:
+            # Rows whose tree k-th distance reads infinite take the
+            # knn_query fallback; mark the queries right of the median.
+            cut = np.median(Q[:, 0])
+            blind = Regressor(reg.data, dataclasses.replace(
+                reg.index, _tree=InfTree(reg.index._tree,
+                                         lambda q: q[..., 0] > cut)), k)
+            assert np.array_equal(bits(predict_batch(blind, Q)), want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
