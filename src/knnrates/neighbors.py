@@ -4,24 +4,28 @@ The k-NN radius of a query x is the smallest radius whose closed ball
 captures at least k sample points; the neighbor set is *every* point within
 that radius, so ties at the boundary may push its size above k.
 
-Two query paths are provided: a kd-tree backed index for speed and a
-brute-force full scan as the correctness oracle.  Both decide membership
-with the same squared-distance routine and exact float comparisons (no
-epsilon), so their answers agree bit for bit.  The tree is used only to
-produce candidate supersets; the final radius and member set always come
-from the shared arithmetic.
+Two query paths are provided: an index for speed and a brute-force full
+scan as the correctness oracle.  Both decide membership with the same
+squared-distance arithmetic and exact float comparisons (no epsilon), so
+their answers agree bit for bit.
 
-Batch queries (`knn_radii`, and `predict_batch` in the regression module)
-run one chunked kernel.  In D >= 2 it takes a k+1 tree query per chunk;
-rows with a clear gap after the k-th neighbor are settled from it, and the
-rows that tie there are settled together, grouped by the size of their
-candidate balls.
-In D = 1 a tie-free neighbor set is a contiguous window of the points
-sorted by coordinate, so the kernel binary-searches each row's window
-start instead and accepts the window only when both points just outside
-it are strictly farther than its farther end; that test is exact.  A tied
-row's set is the window widened over the tied runs at both ends.  Only
-rows whose k-th distance is not finite take the single-query path.
+In D = 1 the index is the stable sorted order of the coordinate and holds
+no tree.  The neighbor set of a query is a contiguous run of that order: a
+binary search finds the query's k-point window, which is the whole set
+when both points just outside it are strictly farther than its farther end
+(an exact test), and otherwise two more binary searches widen it over the
+tied runs at both ends.  Scalar and batch queries run the same searches,
+so every row, a row whose squared distances overflow included, gets the
+oracle's answer.
+
+In D >= 2 the index is a kd-tree, used only to produce candidate
+supersets; the final radius and member set always come from the shared
+arithmetic.  Batch queries (`knn_radii`, and `predict_batch` in the
+regression module) run one chunked kernel that takes a k+1 tree query per
+chunk; rows with a clear gap after the k-th neighbor are settled from it,
+and the rows that tie there are settled together, grouped by the size of
+their candidate balls.  Only rows whose tree k-th distance is not finite
+take the single-query path.
 
 The mean of observations over a neighbor set (`predict_batch`, and
 `predict` in the regression module) is correctly rounded: the exact sum
@@ -105,12 +109,13 @@ class NeighborSet:
 class SpatialIndex:
     """Immutable query structure over a PointSet; safe for concurrent reads.
 
-    In D = 1 it also holds the stable argsort of the coordinate, which the
-    batch kernel searches for neighbor windows.
+    In D = 1 it holds only the stable argsort of the coordinate, which every
+    query searches for its neighbor window, and `_tree` is None.  In
+    D >= 2 it holds the kd-tree and `_order` is None.
     """
 
     source: PointSet
-    _tree: cKDTree = field(repr=False)
+    _tree: Optional[cKDTree] = field(repr=False)
     _order: Optional[np.ndarray] = field(default=None, repr=False)
 
 
@@ -122,8 +127,9 @@ def _sq_dists(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distances from q to each row of pts.
 
     Every membership/tie decision in this package routes through this one
-    function so that the index, the oracle, and the batch paths share
-    identical floating-point arithmetic.
+    function, or in D = 1 through its one-coordinate form diff * diff, so
+    that the index, the oracle, and the batch paths share identical
+    floating-point arithmetic.
     """
     diff = pts - q
     return (diff * diff).sum(axis=1)
@@ -148,13 +154,14 @@ def _check_k(k: int, n: int) -> int:
 
 
 def build_index(points) -> SpatialIndex:
-    """Build the kd-tree index.  Deterministic given the input order."""
+    """Build the index: the stable sorted order in D = 1, a kd-tree in
+    D >= 2.  Deterministic given the input order."""
     ps = as_point_set(points)
-    order = None
     if ps.dim == 1:
         order = np.argsort(ps.points[:, 0], kind="stable")
         order.setflags(write=False)
-    return SpatialIndex(source=ps, _tree=cKDTree(ps.points), _order=order)
+        return SpatialIndex(source=ps, _tree=None, _order=order)
+    return SpatialIndex(source=ps, _tree=cKDTree(ps.points))
 
 
 def brute_force_knn(points, query, k: int) -> NeighborSet:
@@ -170,43 +177,33 @@ def brute_force_knn(points, query, k: int) -> NeighborSet:
 
 
 def knn_query(index: SpatialIndex, query, k: int) -> NeighborSet:
-    """Tie-inclusive k-NN query, exactly equivalent to brute_force_knn."""
-    ps = index.source
-    q = _check_query(query, ps.dim)
-    k = _check_k(k, ps.n)
-    dists = np.atleast_1d(index._tree.query(q, k=k)[0])
-    r_safe = float(dists[-1]) * (1.0 + _REL_SLACK)
-    cand = np.asarray(index._tree.query_ball_point(q, r_safe), dtype=np.intp)
-    # The ball holds at least the tree's own k nearest.
-    assert cand.size >= k
-    d2 = _sq_dists(ps.points[cand], q)
-    r2 = np.partition(d2, k - 1)[k - 1]
-    members = np.sort(cand[d2 <= r2])
-    return NeighborSet(radius=float(np.sqrt(r2)), member_indices=members,
-                       count=int(members.size))
+    """Tie-inclusive k-NN query, exactly equivalent to brute_force_knn.
 
-
-def range_query(index: SpatialIndex, query, r: float) -> np.ndarray:
-    """Indices of all points at distance <= r, sorted ascending.
-
-    Membership compares the correctly-rounded distance sqrt(d2) against r,
-    which is monotone in the shared squared-distance arithmetic; in
-    particular a range query at the k-NN radius always covers the k-NN
-    member set.
+    In D = 1 it is one row of the batch kernel: the window of _windows,
+    widened over ties by _widen.  In D >= 2 a tree query for the k-th
+    distance bounds a ball query, whose candidates are refined exactly.
     """
     ps = index.source
     q = _check_query(query, ps.dim)
-    r = float(r)
-    if not np.isfinite(r):
-        raise ValueError("range radius must be finite")
-    if r < 0.0:
-        raise ValueError("range radius must be nonnegative")
-    r_safe = r * (1.0 + _REL_SLACK)
-    cand = np.asarray(index._tree.query_ball_point(q, r_safe), dtype=np.intp)
-    if cand.size == 0:
-        return cand
-    dist = np.sqrt(_sq_dists(ps.points[cand], q))
-    return np.sort(cand[dist <= r])
+    k = _check_k(k, ps.n)
+    order = index._order
+    if order is not None:
+        xs = ps.points[order, 0]
+        a, r2, _ = _windows(xs, q, k)
+        lo, hi = _widen(xs, q, r2, a, k)
+        r2, members = r2[0], np.sort(order[lo[0]:hi[0]])
+    else:
+        dists = np.atleast_1d(index._tree.query(q, k=k)[0])
+        r_safe = float(dists[-1]) * (1.0 + _REL_SLACK)
+        cand = np.asarray(index._tree.query_ball_point(q, r_safe),
+                          dtype=np.intp)
+        # The ball holds at least the tree's own k nearest.
+        assert cand.size >= k
+        d2 = _sq_dists(ps.points[cand], q)
+        r2 = np.partition(d2, k - 1)[k - 1]
+        members = np.sort(cand[d2 <= r2])
+    return NeighborSet(radius=float(np.sqrt(r2)), member_indices=members,
+                       count=int(members.size))
 
 
 def _windows(xs: np.ndarray, q: np.ndarray, k: int):
@@ -253,7 +250,8 @@ def _widen(xs: np.ndarray, q: np.ndarray, r2: np.ndarray, a: np.ndarray,
     Subtraction and diff * diff are monotone, so the set {d2 <= r2} is a
     contiguous run [lo, hi) of the sorted order that holds the window.  Two
     binary searches from the window's ends find lo in [0, a] and hi in
-    [a+k, n].
+    [a+k, n].  A row whose r2 overflowed to inf gets the whole order [0, n),
+    as the oracle does.
     """
     n = xs.shape[0]
 
@@ -384,20 +382,20 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     """The chunked kernel under knn_radii (y None) and predict_batch (the
     mean of y over each row's neighbor set).
 
-    In D >= 2 each chunk takes one k+1 tree query.  Rows with a clear
-    distance gap after the k-th neighbor are settled from it: a mean over
-    their k tree neighbors (summed one limb at a time), or, for radii, the
-    max exact distance over the few candidates near the k-th (at most
-    _TAIL_CAP).  The other rows with a finite tree k-th distance are
-    settled together by _tied_rows.  In D = 1 each chunk takes the window
-    search of _windows instead: every row's squared radius is its window's
-    r2, a fast row's members are its window, and a tied row's members are
-    the run _widen finds; either way a row's limb sums are the differences
-    of the prefix sums at the ends of its run.  Only rows whose k-th
-    distance is not finite (it bounds no candidate set) take the
-    single-query path.  Every mean is the correctly rounded one (_means),
-    and every row gets the bits of a scalar loop.  A chunk holds
-    _CHUNK_ENTRIES entries of k+1, or one row when k+1 alone exceeds that.
+    In D = 1 each chunk takes the window search of _windows: every row's
+    squared radius is its window's r2, a fast row's members are its window,
+    and any other row's members are the run _widen finds, an infinite r2
+    included; either way a row's limb sums are the differences of the
+    prefix sums at the ends of its run.  In D >= 2 each chunk takes one k+1
+    tree query.  Rows with a clear distance gap after the k-th neighbor are
+    settled from it: a mean over their k tree neighbors (summed one limb at
+    a time), or, for radii, the max exact distance over the few candidates
+    near the k-th (at most _TAIL_CAP).  The other rows with a finite tree
+    k-th distance are settled together by _tied_rows, and only rows whose
+    tree k-th distance is not finite (it bounds no candidate set) take
+    knn_query.  Every mean is the correctly rounded one (_means), and every
+    row gets the bits of a scalar loop.  A chunk holds _CHUNK_ENTRIES
+    entries of k+1, or one row when k+1 alone exceeds that.
     """
     ps = index.source
     Q = np.asarray(queries, dtype=np.float64)
@@ -410,33 +408,35 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     k = _check_k(k, ps.n)
     out = np.empty(Q.shape[0], dtype=np.float64)
     rows = max(1, _CHUNK_ENTRIES // (k + 1))
-    limbs = None if y is None else _limbs(y)
-    if limbs is not None:
-        parts, bits, e = limbs
+    limbs = None
     order = index._order
     if order is not None:
         xs = ps.points[order, 0]
-        if limbs is not None:
+        if y is not None:
+            # A permutation keeps the limbs' scale, so take the limbs of y
+            # in sorted order and keep only their prefix sums.
+            parts, bits, e = _limbs(y[order])
             prefix = np.zeros((parts.shape[0], ps.n + 1), dtype=np.int64)
-            np.cumsum(parts[:, order], axis=1, out=prefix[:, 1:])
+            np.cumsum(parts, axis=1, out=prefix[:, 1:])
+            del parts
+    elif y is not None:
+        limbs = _limbs(y)
+        parts, bits, e = limbs
     for lo in range(0, Q.shape[0], rows):
         qc = Q[lo:lo + rows]
         block = out[lo:lo + rows]
         if order is not None:
             a, r2, fast = _windows(xs, qc[:, 0], k)
-            exact = ~fast & ~np.isfinite(r2)
-            if limbs is None:
+            if y is None:
                 block[:] = np.sqrt(r2)
             else:
                 run_lo, run_hi = a, a + k
-                tied = np.flatnonzero(~fast & ~exact)
+                tied = np.flatnonzero(~fast)
                 if tied.size:
                     run_lo[tied], run_hi[tied] = _widen(
                         xs, qc[tied, 0], r2[tied], a[tied], k)
-                done = np.flatnonzero(~exact)
-                run_lo, run_hi = run_lo[done], run_hi[done]
-                block[done] = _means(prefix[:, run_hi] - prefix[:, run_lo],
-                                     run_hi - run_lo, bits, e)
+                block[:] = _means(prefix[:, run_hi] - prefix[:, run_lo],
+                                  run_hi - run_lo, bits, e)
         else:
             d, idx = index._tree.query(qc, k=k + 1)
             dk = d[:, k - 1]
@@ -458,23 +458,22 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
                 block[tied] = _tied_rows(index, qc[tied],
                                          dk[tied] * (1.0 + _REL_SLACK), k,
                                          limbs)
-            exact = ~fast & ~np.isfinite(dk)
-        for row in np.flatnonzero(exact):
-            ns = knn_query(index, qc[row], k)
-            block[row] = ns.radius if y is None else \
-                _exact_mean(y[ns.member_indices])
+            for row in np.flatnonzero(~fast & ~np.isfinite(dk)):
+                ns = knn_query(index, qc[row], k)
+                block[row] = ns.radius if y is None else \
+                    _exact_mean(y[ns.member_indices])
     return out
 
 
 def knn_radii(index: SpatialIndex, queries, k: int) -> np.ndarray:
     """Exact k-NN radii for a batch of queries.
 
-    In D = 1 every row takes sqrt(r2) of its sorted window.  In D >= 2,
-    rows with a clear gap after the k-th neighbor and few candidates near
-    it take the max exact distance over those candidates, and the other
-    rows the k-th exact distance over their grouped candidate blocks
-    (_tied_rows).  Only rows
-    whose k-th distance is not finite take knn_query.  The result matches
-    a knn_query loop bit for bit.
+    In D = 1 every row takes sqrt(r2) of its sorted window, infinite when
+    its squared distances overflow.  In D >= 2, rows with a clear gap after
+    the k-th neighbor and few candidates near it take the max exact
+    distance over those candidates, and the other rows the k-th exact
+    distance over their grouped candidate blocks (_tied_rows).  Only D >= 2
+    rows whose tree k-th distance is not finite take knn_query.  The result
+    matches a knn_query loop bit for bit.
     """
     return _batch(index, queries, k)

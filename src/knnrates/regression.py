@@ -1,4 +1,4 @@
-"""k-NN regression: the estimator, its empirical radius, and sup-norm error.
+"""k-NN regression: the estimator and its sup-norm error.
 
 The prediction at x is the unweighted mean of the observations over the
 tie-inclusive neighbor set N_k(x); when ties inflate the set beyond k the
@@ -124,11 +124,6 @@ def predict_batch(reg: Regressor, queries) -> np.ndarray:
     the member count, as in predict.
     """
     return _batch(reg.index, queries, reg.k, reg.data.y)
-
-
-def knn_radius(reg: Regressor, query) -> float:
-    """The k-NN radius r_k at the query."""
-    return knn_query(reg.index, query, reg.k).radius
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knnrates import (PointSet, brute_force_knn, build_index, knn_query,
-                      knn_radii, range_query)
+                      knn_radii)
 
 
 def pts1d(*vals):
@@ -88,45 +88,6 @@ class TestKnnQuery:
         idx = build_index(pts1d(0.0, 1.0))
         with pytest.raises(ValueError):
             knn_query(idx, [np.inf], 1)
-
-
-class TestRangeQuery:
-    def test_hand_case(self):
-        idx = build_index(pts1d(0.0, 1.0, 2.0))
-        assert list(range_query(idx, [1.0], 1.0)) == [0, 1, 2]
-
-    def test_zero_radius_off_points(self):
-        idx = build_index(pts1d(0.0, 1.0, 2.0))
-        assert list(range_query(idx, [0.5], 0.0)) == []
-
-    def test_zero_radius_on_point(self):
-        idx = build_index(pts1d(0.0, 1.0, 2.0))
-        assert list(range_query(idx, [1.0], 0.0)) == [1]
-
-    def test_large_radius_returns_all(self):
-        idx = build_index(pts1d(0.0, 1.0, 2.0))
-        assert list(range_query(idx, [0.5], 1e9)) == [0, 1, 2]
-
-    def test_infinite_radius_rejected(self):
-        idx = build_index(pts1d(0.0))
-        with pytest.raises(ValueError):
-            range_query(idx, [0.0], np.inf)
-
-    def test_negative_radius_rejected(self):
-        idx = build_index(pts1d(0.0))
-        with pytest.raises(ValueError):
-            range_query(idx, [0.0], -1.0)
-
-    def test_contains_knn_members(self):
-        rng = np.random.default_rng(5)
-        pts = PointSet(rng.random((60, 3)))
-        idx = build_index(pts)
-        for _ in range(25):
-            q = rng.random(3)
-            k = int(rng.integers(1, 61))
-            ns = knn_query(idx, q, k)
-            covered = set(range_query(idx, q, ns.radius))
-            assert set(ns.member_indices) <= covered
 
 
 def _random_instance(rng, lattice):

@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import knnrates.neighbors as neighbors
-from knnrates import (Dataset, PointSet, Regressor, ScalarField,
-                      brute_force_knn, empirical_modulus, knn_query,
-                      knn_radii, knn_radius, make_field, make_regressor,
-                      predict, predict_batch, read_dataset, sup_error,
-                      write_dataset)
+from knnrates import (Dataset, PointCloud, PointSet, Regressor, ScalarField,
+                      brute_force_knn, empirical_modulus, hausdorff_distance,
+                      hausdorff_distance_bruteforce, knn_query, knn_radii,
+                      make_field, make_regressor, predict, predict_batch,
+                      read_dataset, sup_error, write_dataset)
 
 
 def data1d(xs, ys):
@@ -111,6 +111,28 @@ class TestBatchAgreement:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
 
+    def test_wide_exponent_range_peak_bounded(self):
+        # Observations from 2**-1074 to 2**1000 need 47 limbs each.
+        import tracemalloc
+
+        rng = np.random.default_rng(53)
+        n = 2 ** 16
+        X = rng.random((n, 1))
+        y = np.ldexp(rng.uniform(-2.0, 2.0, n), rng.integers(-1074, 999, n))
+        y[:2] = 5e-324, 2.0 ** 1000
+        reg = make_regressor(Dataset(PointSet(X), y), 64)
+        Q = rng.random((4096, 1))
+        tracemalloc.start()
+        try:
+            out = predict_batch(reg, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        for i in range(0, 4096, 512):
+            members = brute_force_knn(X, Q[i], 64).member_indices
+            assert bits(out[i]) == bits(exact_mean(y[members]))
+
 
 def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
@@ -153,23 +175,55 @@ class TestBatchAgreement1D:
             assert bits(ns.radius) == bits(oracle.radius)
             assert np.array_equal(ns.member_indices, oracle.member_indices)
 
-    def test_continuous_data_skips_the_tree(self):
-        class NoTree:
-            def __getattr__(self, name):
-                raise AssertionError(f"tree.{name} called")
+    def test_builds_no_kd_tree(self, monkeypatch):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("cKDTree built for 1-D points")
 
+        monkeypatch.setattr(neighbors, "cKDTree", no_tree)
         rng = np.random.default_rng(37)
-        X = rng.random((2000, 1))
-        Q = np.vstack([X, rng.uniform(-0.5, 1.5, (500, 1))])
-        ds = Dataset(PointSet(X), rng.standard_normal(2000))
-        for k in (1, 37, 1999, 2000):
+        X = rng.random((500, 1))
+        Q = np.vstack([X[:150], rng.uniform(-0.5, 1.5, (150, 1))])
+        ds = Dataset(PointSet(X), rng.standard_normal(500))
+        for k in (1, 37, 500):
             reg = make_regressor(ds, k)
-            blind = Regressor(ds, dataclasses.replace(reg.index,
-                                                      _tree=NoTree()), k)
-            assert np.array_equal(bits(predict_batch(blind, Q)),
-                                  bits(predict_batch(reg, Q)))
-            assert np.array_equal(bits(knn_radii(blind.index, Q, k)),
-                                  bits(knn_radii(reg.index, Q, k)))
+            scalar = [knn_query(reg.index, q, k) for q in Q]
+            assert np.array_equal(bits(predict_batch(reg, Q)),
+                                  bits([predict(reg, q) for q in Q]))
+            assert np.array_equal(bits(knn_radii(reg.index, Q, k)),
+                                  bits([ns.radius for ns in scalar]))
+            for q, ns in zip(Q[::10], scalar[::10]):
+                oracle = brute_force_knn(X, q, k)
+                assert bits(ns.radius) == bits(oracle.radius)
+                assert np.array_equal(ns.member_indices,
+                                      oracle.member_indices)
+        a, b = PointCloud(1, X), PointCloud(1, Q)
+        assert hausdorff_distance(a, b) == hausdorff_distance_bruteforce(a, b)
+
+    def test_overflow_gets_the_oracle_answer(self):
+        # Scaled by 2**600 most squared distances overflow to inf.  A row
+        # whose k-th one is inf gets radius inf and every point as a member,
+        # as the oracle does; rows among duplicates keep finite radii.
+        rng = np.random.default_rng(47)
+        vals = np.concatenate([rng.uniform(-1.0, 1.0, 60),
+                               rng.integers(-3, 4, 40)])
+        X = np.ldexp(vals, 600).reshape(-1, 1)
+        Q = queries_1d(X[:, 0]).reshape(-1, 1)
+        y = rng.standard_normal(100)
+        with np.errstate(over="ignore"):
+            for k in (1, 2, 5):
+                reg = make_regressor(data1d(X[:, 0], y), k)
+                scalar = [knn_query(reg.index, q, k) for q in Q]
+                radii = np.array([ns.radius for ns in scalar])
+                assert np.isinf(radii).any() and np.isfinite(radii).any()
+                for q, ns in zip(Q, scalar):
+                    oracle = brute_force_knn(X, q, k)
+                    assert bits(ns.radius) == bits(oracle.radius)
+                    assert np.array_equal(ns.member_indices,
+                                          oracle.member_indices)
+                assert np.array_equal(bits(knn_radii(reg.index, Q, k)),
+                                      bits(radii))
+                assert np.array_equal(bits(predict_batch(reg, Q)),
+                                      bits([predict(reg, q) for q in Q]))
 
 
 def tie_data():
@@ -420,18 +474,12 @@ class TestKnnRadius:
         ds = data1d([0.1, 0.5, 0.9], [0.0, 0.0, 0.0])
         reg = make_regressor(ds, 1)
         for v in (0.1, 0.5, 0.9):
-            assert knn_radius(reg, [v]) == 0.0
+            assert knn_query(reg.index, [v], 1).radius == 0.0
 
     def test_hand_case(self):
         reg = make_regressor(data1d([0.0, 1.0, 2.0], [0.0] * 3), 2)
-        assert knn_radius(reg, [0.9]) == pytest.approx(0.9, abs=0)
-
-    def test_matches_knn_query_radius_1000_queries(self):
-        rng = np.random.default_rng(6)
-        ds = Dataset(PointSet(rng.random((300, 3))), np.zeros(300))
-        reg = make_regressor(ds, 11)
-        for q in rng.random((1000, 3)):
-            assert knn_radius(reg, q) == knn_query(reg.index, q, 11).radius
+        assert knn_query(reg.index, [0.9], 2).radius == \
+            pytest.approx(0.9, abs=0)
 
 
 class TestSupError:
@@ -470,7 +518,7 @@ class TestSupError:
         reg = make_regressor(Dataset(PointSet(x), fld.evaluate(x)), 9)
         for q in rng.random((50, 1)):
             err = abs(predict(reg, q) - fld.evaluate(q))
-            assert err <= 3.0 * knn_radius(reg, q) + 1e-12
+            assert err <= 3.0 * knn_query(reg.index, q, 9).radius + 1e-12
 
     def test_argmax_probe_reported(self):
         fld = make_field("constant", value=0.0, dim=1)
