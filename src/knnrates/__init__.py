@@ -16,10 +16,9 @@ from .experiments import (ConfigError, CoverageResult, DegenerateFitError,
                           run_regression_rate, run_setcount, write_records)
 from .neighbors import (NeighborSet, PointSet, SpatialIndex, brute_force_knn,
                         build_index, knn_query, knn_radii)
-from .regression import (Dataset, FieldMetadata, ModulusEstimate, Regressor,
-                         ScalarField, SupErrorResult, empirical_modulus,
-                         make_regressor, predict, predict_batch, read_dataset,
-                         sup_error, write_dataset)
+from .regression import (Dataset, FieldMetadata, Regressor, ScalarField,
+                         SupErrorResult, make_regressor, predict,
+                         predict_batch, sup_error)
 from .structures import (LevelSetEstimate, MaximaEstimate, PointCloud,
                          cloud_from_level_set, count_distinct_knn_sets,
                          estimate_level_set, estimate_maxima,

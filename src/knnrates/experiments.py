@@ -113,9 +113,17 @@ class ExperimentConfig:
             raise ConfigError("ladder.n: at least one rung is required")
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ConfigError("ladder.n: rungs must be strictly increasing")
+        if ladder[0] < 1:
+            raise ConfigError("ladder.n: rungs must be >= 1")
         object.__setattr__(self, "n_ladder", ladder)
+        if any(k < 1 for k in self.k_values):
+            raise ConfigError("k.values: entries must be >= 1")
         if self.seeds_per_n < 1:
             raise ConfigError("trial.seeds_per_n: must be >= 1")
+        if self.probe_cells < 1:
+            raise ConfigError("probes.cells: must be >= 1")
+        if self.probe_count < 1:
+            raise ConfigError("probes.count: must be >= 1")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("trial.delta: must lie in (0, 1)")
         if self.density is None and self.manifold is None:
@@ -185,11 +193,8 @@ def fit_rate(records, quantity: str) -> RateFit:
     resid = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(resid * resid)))
     m = len(ns)
-    if m > 2:
-        s2 = float(resid @ resid) / (m - 2)
-        stderr = math.sqrt(s2 / float(((x - x.mean()) ** 2).sum()))
-    else:
-        stderr = float("nan")
+    s2 = float(resid @ resid) / (m - 2)
+    stderr = math.sqrt(s2 / float(((x - x.mean()) ** 2).sum()))
     return RateFit(slope=float(slope), intercept=float(intercept),
                    medians=tuple(zip(ns, medians)), residual_rms=rms,
                    rungs=m, slope_stderr=stderr)
@@ -377,8 +382,8 @@ def run_levelset(cfg: ExperimentConfig) -> list:
     fld = experiment_field(cfg)
     lam = float(cfg.level_lambda)
     lo, hi = support_box(cfg.density)
-    grid, h = uniform_grid(lo, hi, cfg.probe_cells)
-    truth = true_level_set_grid(fld, lam, grid, spacing=h)
+    grid, _ = uniform_grid(lo, hi, cfg.probe_cells)
+    truth = true_level_set_grid(fld, lam, grid)
     D = cfg.density.dim
 
     def measure(data, k):

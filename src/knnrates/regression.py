@@ -48,8 +48,8 @@ class FieldMetadata:
     level/beta/c_low/c_high/r_m: level-boundary regularity at `level`,
         c_low * d(x, boundary)^beta <= |level - f(x)| <= c_high * d^beta
         within distance r_m of the boundary.
-    argmax/peak_value: unique maximizer, with quadratic pinch constants
-        c_low/c_high when the field declares them for maxima estimation.
+    argmax: unique maximizer, with quadratic pinch constants c_low/c_high
+        when the field declares them for maxima estimation.
     """
 
     alpha: Optional[float] = None
@@ -60,24 +60,16 @@ class FieldMetadata:
     c_high: Optional[float] = None
     r_m: Optional[float] = None
     argmax: Optional[np.ndarray] = None
-    peak_value: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Deterministic scalar function on R^D with optional declared constants.
-
-    `fn` maps an (m, D) array to an (m,) array.  `modulus`, when present,
-    is the exact closed-form modulus of continuity u(x, r) of the formula
-    defining the field (support truncation ignored).
-    """
+    """Deterministic scalar function on R^D with optional declared constants;
+    `fn` maps an (m, D) array to an (m,) array."""
 
     dim: int
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     metadata: FieldMetadata = field(default_factory=FieldMetadata)
-    modulus: Optional[Callable[[np.ndarray, float], float]] = field(
-        default=None, repr=False)
-    name: str = ""
 
     def evaluate(self, x):
         """Evaluate at a single point (D,) -> float or a batch (m, D) -> (m,)."""
@@ -143,69 +135,3 @@ def sup_error(reg: Regressor, fld: ScalarField, probes) -> SupErrorResult:
     per = np.abs(preds - fld.evaluate(ps.points))
     i = int(np.argmax(per))
     return SupErrorResult(sup=float(per[i]), argmax_probe=i, per_probe=per)
-
-
-@dataclass(frozen=True)
-class ModulusEstimate:
-    value: float
-    exact: bool  # False: sampled lower bound on the true modulus
-
-
-def _ball_probes(x: np.ndarray, r: float, resolution: int) -> np.ndarray:
-    """Deterministic probe cloud in the closed ball B(x, r): the center, the
-    2D axis-aligned boundary points, and a Halton fill."""
-    from .synth import ball_halton  # synth imports this module
-
-    d = x.shape[0]
-    pts = [x]
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = r
-        pts.append(x + e)
-        pts.append(x - e)
-    base = np.asarray(pts)
-    extra = resolution - base.shape[0]
-    if extra > 0 and r > 0.0:
-        base = np.vstack([base, ball_halton(x, r, extra)])
-    return base
-
-
-def empirical_modulus(fld: ScalarField, x, r: float,
-                      resolution: int = 256) -> ModulusEstimate:
-    """Modulus of continuity u(x, r): exact closed form when the field
-    declares one, otherwise a sampled lower bound (flagged approximate)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != fld.dim:
-        raise ValueError(f"point has dimension {x.shape[0]}, field has {fld.dim}")
-    r = float(r)
-    if r < 0.0:
-        raise ValueError("radius must be nonnegative")
-    if fld.modulus is not None:
-        return ModulusEstimate(value=float(fld.modulus(x, r)), exact=True)
-    probes = _ball_probes(x, r, resolution)
-    fx = fld.evaluate(x)
-    vals = np.abs(fld.evaluate(probes) - fx)
-    return ModulusEstimate(value=float(vals.max()), exact=False)
-
-
-def write_dataset(path, data: Dataset) -> None:
-    """Plain-text dataset: first line `D n`, then n rows of D coordinates
-    followed by the observation, whitespace-separated."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{data.x.dim} {data.n}\n")
-        for row, yi in zip(data.x.points, data.y):
-            cols = [("%.17g" % v) for v in row] + [("%.17g" % yi)]
-            f.write(" ".join(cols) + "\n")
-
-
-def read_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected header 'D n'")
-        dim, n = int(header[0]), int(header[1])
-        rows = np.loadtxt(f, dtype=np.float64, ndmin=2)
-    if rows.shape != (n, dim + 1):
-        raise ValueError(
-            f"{path}: expected {n} rows of {dim + 1} columns, got {rows.shape}")
-    return Dataset(x=PointSet(rows[:, :dim]), y=rows[:, dim])

@@ -5,11 +5,11 @@ distinct-neighbor-set counter."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .neighbors import PointSet, as_point_set, build_index, knn_radii, _sq_dists
+from .neighbors import (PointSet, as_point_set, build_index, knn_radii,
+                        _CHUNK_ENTRIES, _sq_dists)
 from .regression import Dataset, Regressor, ScalarField, predict_batch
 
 
@@ -37,13 +37,11 @@ def estimate_level_set(reg: Regressor, level: float,
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite point cloud with provenance; may be empty (then unusable for
-    Hausdorff evaluation)."""
+    """Finite point cloud; may be empty (then unusable for Hausdorff
+    evaluation)."""
 
     dim: int
     points: np.ndarray
-    provenance: str = "samples"
-    spacing: Optional[float] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, self.dim)
@@ -55,19 +53,17 @@ class PointCloud:
 
 
 def cloud_from_level_set(est: LevelSetEstimate, dim: int) -> PointCloud:
-    return PointCloud(dim=dim, points=est.member_points, provenance="samples")
+    return PointCloud(dim=dim, points=est.member_points)
 
 
-def true_level_set_grid(fld: ScalarField, level: float, grid,
-                        spacing: Optional[float] = None) -> PointCloud:
+def true_level_set_grid(fld: ScalarField, level: float, grid) -> PointCloud:
     """Grid discretization of the true super-level region.  An empty result
     (level above the grid maximum) is returned as an empty cloud, which the
     Hausdorff metric refuses to evaluate."""
     ps = as_point_set(grid)
     vals = fld.evaluate(ps.points)
     keep = vals >= float(level)
-    return PointCloud(dim=ps.dim, points=ps.points[keep],
-                      provenance="grid-discretized-truth", spacing=spacing)
+    return PointCloud(dim=ps.dim, points=ps.points[keep])
 
 
 def _check_clouds(a: PointCloud, b: PointCloud):
@@ -131,7 +127,9 @@ def count_distinct_knn_sets(data: Dataset, k: int, probes) -> int:
     if not (1 <= k <= n):
         raise ValueError(f"k={k} outside [1, n={n}]")
     seen = set()
-    chunk = 2048  # probes per full-scan block: chunk x n distances at a time
+    # Probes per full-scan block: the block's coordinate differences hold
+    # at most _CHUNK_ENTRIES floats (one probe when n * D alone exceeds it).
+    chunk = max(1, _CHUNK_ENTRIES // (n * ps.dim))
     for lo in range(0, ps.n, chunk):
         qc = ps.points[lo:lo + chunk]
         d2 = ((qc[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)

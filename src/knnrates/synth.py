@@ -233,9 +233,7 @@ def _constant_field(value: float, dim: int) -> ScalarField:
     return ScalarField(
         dim=int(dim),
         fn=lambda X: np.full(X.shape[0], value),
-        metadata=FieldMetadata(alpha=1.0, c_alpha=0.0),
-        modulus=lambda x, r: 0.0,
-        name="constant")
+        metadata=FieldMetadata(alpha=1.0, c_alpha=0.0))
 
 
 def _linear_field(a, b: float = 0.0) -> ScalarField:
@@ -245,9 +243,7 @@ def _linear_field(a, b: float = 0.0) -> ScalarField:
     return ScalarField(
         dim=a.shape[0],
         fn=lambda X: X @ a + b,
-        metadata=FieldMetadata(alpha=1.0, c_alpha=c),
-        modulus=lambda x, r: c * r,
-        name="linear")
+        metadata=FieldMetadata(alpha=1.0, c_alpha=c))
 
 
 def _tent_field(center, slope: float, peak: float = 1.0,
@@ -260,7 +256,7 @@ def _tent_field(center, slope: float, peak: float = 1.0,
     slope, peak = float(slope), float(peak)
     if slope <= 0:
         raise ValueError("tent slope must be positive")
-    meta = dict(alpha=1.0, c_alpha=slope, argmax=center, peak_value=peak)
+    meta = dict(alpha=1.0, c_alpha=slope, argmax=center)
     if level is not None:
         level = float(level)
         if level >= peak:
@@ -270,9 +266,7 @@ def _tent_field(center, slope: float, peak: float = 1.0,
     return ScalarField(
         dim=center.shape[0],
         fn=lambda X: peak - slope * _radial_dist(X, center),
-        metadata=FieldMetadata(**meta),
-        modulus=lambda x, r: slope * r,
-        name="tent")
+        metadata=FieldMetadata(**meta))
 
 
 def _holder_cusp_field(center, c_alpha: float, alpha: float,
@@ -285,21 +279,10 @@ def _holder_cusp_field(center, c_alpha: float, alpha: float,
         raise ValueError("alpha must lie in (0, 1]")
     if c < 0:
         raise ValueError("c_alpha must be nonnegative")
-
-    def modulus(x, r):
-        # Largest change over the ball: toward the cusp or away from it.
-        t = float(np.linalg.norm(np.asarray(x, dtype=np.float64) - center))
-        toward = t ** a - max(0.0, t - r) ** a
-        away = (t + r) ** a - t ** a
-        return c * max(toward, away)
-
     return ScalarField(
         dim=center.shape[0],
         fn=lambda X: peak - c * _radial_dist(X, center) ** a,
-        metadata=FieldMetadata(alpha=a, c_alpha=c, argmax=center,
-                               peak_value=peak),
-        modulus=modulus,
-        name="holder-cusp")
+        metadata=FieldMetadata(alpha=a, c_alpha=c, argmax=center))
 
 
 def _quadratic_peak_field(center, curvature: float, height: float = 1.0,
@@ -311,20 +294,11 @@ def _quadratic_peak_field(center, curvature: float, height: float = 1.0,
     q, h = float(curvature), float(height)
     if q <= 0:
         raise ValueError("curvature must be positive")
-
-    def modulus(x, r):
-        t = float(np.linalg.norm(np.asarray(x, dtype=np.float64) - center))
-        toward = t * t - max(0.0, t - r) ** 2
-        away = (t + r) ** 2 - t * t
-        return q * max(toward, away)
-
     return ScalarField(
         dim=center.shape[0],
         fn=lambda X: h - q * _radial_dist(X, center) ** 2,
-        metadata=FieldMetadata(argmax=center, peak_value=h, c_low=q, c_high=q,
-                               r_m=float(r_m) if r_m is not None else None),
-        modulus=modulus,
-        name="quadratic-peak")
+        metadata=FieldMetadata(argmax=center, c_low=q, c_high=q,
+                               r_m=float(r_m) if r_m is not None else None))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +325,6 @@ class ManifoldSpec:
     pitch: float = 0.05           # spiral radius growth per radian
     rotate: bool = False
     rotation_seed: int = 0
-    field_kind: str = "tent"
     field_slope: float = 2.0
     field_center_s: float = 0.0
     field_peak: float = 0.5
@@ -497,8 +470,6 @@ def manifold_field(spec: ManifoldSpec) -> ScalarField:
 
     On the circle the ambient smoothness constant is slope * pi/2 exactly
     (arc length of a minor arc is at most pi/2 times its chord)."""
-    if spec.field_kind != "tent":
-        raise ValueError(f"unsupported manifold field kind {spec.field_kind!r}")
     L = spec.length
     slope, s0, peak = spec.field_slope, spec.field_center_s, spec.field_peak
     periodic = spec.periodic
@@ -513,29 +484,24 @@ def manifold_field(spec: ManifoldSpec) -> ScalarField:
     c_amb = slope * math.pi / 2.0 if spec.kind == "circle" else None
     return ScalarField(
         dim=spec.ambient_dim, fn=fn,
-        metadata=FieldMetadata(alpha=1.0, c_alpha=c_amb, peak_value=peak),
-        name=f"{spec.field_kind}-on-{spec.kind}")
+        metadata=FieldMetadata(alpha=1.0, c_alpha=c_amb))
 
 
 @dataclass(frozen=True)
 class ManifoldSample:
     points: PointSet
     intrinsic: np.ndarray
-    field: ScalarField
-    spec: ManifoldSpec
 
 
 def embed_manifold(spec: ManifoldSpec, n: int, seed) -> ManifoldSample:
-    """Sample n points uniformly in arc length and embed them, together
-    with the attached intrinsic-coordinate field."""
+    """Sample n points uniformly in arc length and embed them."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if spec.d >= spec.ambient_dim:
         raise ValueError("intrinsic dimension must be below ambient dimension")
     s = spec.length * _rng(seed).random(n)
-    return ManifoldSample(points=PointSet(embed_points(spec, s)), intrinsic=s,
-                          field=manifold_field(spec), spec=spec)
+    return ManifoldSample(points=PointSet(embed_points(spec, s)), intrinsic=s)
 
 
 def manifold_probe_grid(spec: ManifoldSpec, cells: int) -> PointSet:

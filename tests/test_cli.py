@@ -67,6 +67,12 @@ class TestExitCodes:
         bad.write_text("experiment.kind = regression\n")
         assert cli_main(["regress", "--config", str(bad)]) == 1
 
+    def test_out_of_range_value_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.replace("probes.cells = 64", "probes.cells = 0"))
+        assert cli_main(["regress", "--config", str(bad), "--quiet"]) == 1
+        assert "probes.cells" in capsys.readouterr().err
+
     def test_runtime_failure_exit_2(self, config_path, monkeypatch, capsys):
         import knnrates.cli as climod
 

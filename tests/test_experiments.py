@@ -358,6 +358,16 @@ class TestProbes:
         with pytest.raises(ConfigError, match=f"^{key}: .* over the budget"):
             build_config(pairs)
 
+    @pytest.mark.parametrize("over, key", [
+        ({"ladder.n": "0, 64"}, "ladder.n"),
+        ({"experiment.kind": "setcount", "k.values": "1, 0"}, "k.values"),
+        ({"probes.cells": "0"}, "probes.cells"),
+        ({"probes.count": "0", "density.low": "0, 0, 0",
+          "density.high": "1, 1, 1"}, "probes.count")])
+    def test_values_below_one_rejected(self, over, key):
+        with pytest.raises(ConfigError, match=f"^{key}: .*must be >= 1"):
+            build_config(base_pairs(**over))
+
     def test_probe_budget_edge_accepted(self):
         # 2048^2 grid points is exactly the budget; a Halton box ignores
         # the grid setting.

@@ -1,5 +1,5 @@
 """Regressor tests: hand-computed predictions, exact batch/scalar agreement,
-arithmetic-exact equivariances on dyadic data, modulus and file format."""
+arithmetic-exact equivariances on dyadic data, and input validation."""
 
 
 import dataclasses
@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import knnrates.neighbors as neighbors
-from knnrates import (Dataset, PointCloud, PointSet, Regressor, ScalarField,
-                      brute_force_knn, empirical_modulus, hausdorff_distance,
+from knnrates import (Dataset, PointCloud, PointSet, Regressor,
+                      brute_force_knn, hausdorff_distance,
                       hausdorff_distance_bruteforce, knn_query, knn_radii,
                       make_field, make_regressor, predict, predict_batch,
-                      read_dataset, sup_error, write_dataset)
+                      sup_error)
 
 
 def data1d(xs, ys):
@@ -526,74 +526,6 @@ class TestSupError:
         res = sup_error(reg, fld, PointSet(np.array([0.1, 0.9])))
         assert res.per_probe.shape == (2,)
         assert res.sup == res.per_probe[res.argmax_probe]
-
-
-class TestEmpiricalModulus:
-    def test_constant_field_zero(self):
-        fld = make_field("constant", value=1.0, dim=2)
-        for r in (0.0, 0.5, 10.0):
-            m = empirical_modulus(fld, [0.0, 0.0], r)
-            assert m.value == 0.0 and m.exact
-
-    def test_linear_closed_form(self):
-        fld = make_field("linear", a=(1.0,), b=0.0)
-        m = empirical_modulus(fld, [0.3], 0.25)
-        assert m.exact and m.value == pytest.approx(0.25, rel=1e-12)
-
-    def test_abs_cusp_sampled_exactly_at_axis_point(self):
-        # f(x) = |x| with no declared closed form: the deterministic probe
-        # cloud contains x +/- r on each axis, so the sup is hit exactly.
-        fld = ScalarField(dim=1, fn=lambda X: np.abs(X[:, 0]))
-        m = empirical_modulus(fld, [0.0], 0.5)
-        assert not m.exact
-        assert m.value == 0.5
-
-    def test_sampled_is_lower_bound_of_closed_form(self):
-        fld = make_field("holder-cusp", center=(0.2,), c_alpha=1.0, alpha=0.5)
-        bare = ScalarField(dim=1, fn=fld.fn)
-        for x, r in [(0.0, 0.3), (0.2, 0.1), (0.7, 0.9)]:
-            exact = empirical_modulus(fld, [x], r)
-            approx = empirical_modulus(bare, [x], r, resolution=512)
-            assert exact.exact and not approx.exact
-            assert approx.value <= exact.value + 1e-12
-            assert approx.value >= 0.8 * exact.value
-
-    def test_negative_radius_rejected(self):
-        fld = make_field("constant", value=0.0, dim=1)
-        with pytest.raises(ValueError):
-            empirical_modulus(fld, [0.0], -0.1)
-
-
-class TestDatasetFile:
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(12)
-        ds = Dataset(PointSet(rng.random((30, 3))), rng.standard_normal(30))
-        path = tmp_path / "data.txt"
-        write_dataset(path, ds)
-        back = read_dataset(path)
-        assert np.array_equal(back.x.points, ds.x.points)
-        assert np.array_equal(back.y, ds.y)
-
-    def test_format_shape(self, tmp_path):
-        ds = data1d([0.5, 1.5], [2.0, 3.0])
-        path = tmp_path / "data.txt"
-        write_dataset(path, ds)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "1 2"
-        assert lines[1].split() == ["0.5", "2"]
-
-    def test_reader_rejects_malformed(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2\n0 0 1\n")
-        with pytest.raises(ValueError):
-            read_dataset(path)
-
-    def test_reader_consumes_written_header(self, tmp_path):
-        path = tmp_path / "d.txt"
-        path.write_text("1 3\n0 1\n0.5 2\n1 3\n")
-        ds = read_dataset(path)
-        assert ds.n == 3 and ds.x.dim == 1
-        assert list(ds.y) == [1.0, 2.0, 3.0]
 
 
 class TestRegressorValidation:

@@ -4,9 +4,9 @@ double-loop oracle), maxima, and the distinct-neighbor-set counter."""
 import numpy as np
 import pytest
 
-from knnrates import (Dataset, PointCloud, PointSet, cloud_from_level_set,
-                      count_distinct_knn_sets, estimate_level_set,
-                      estimate_maxima, hausdorff_distance,
+from knnrates import (Dataset, PointCloud, PointSet, brute_force_knn,
+                      cloud_from_level_set, count_distinct_knn_sets,
+                      estimate_level_set, estimate_maxima, hausdorff_distance,
                       hausdorff_distance_bruteforce, knn_set_count_bound,
                       make_field, make_regressor, true_level_set_grid,
                       uniform_grid)
@@ -72,11 +72,10 @@ class TestLevelSet:
 class TestTrueLevelSetGrid:
     def test_hand_case(self):
         fld = make_field("linear", a=(1.0,), b=0.0)
-        grid, h = uniform_grid((0.0,), (1.0,), 10)
-        truth = true_level_set_grid(fld, 0.5, grid, spacing=h)
+        grid, _ = uniform_grid((0.0,), (1.0,), 10)
+        truth = true_level_set_grid(fld, 0.5, grid)
         assert truth.size == 6  # 0.5 .. 1.0 inclusive
-        assert truth.provenance == "grid-discretized-truth"
-        assert truth.spacing == pytest.approx(0.1)
+        assert np.array_equal(truth.points, grid.points[5:])
 
     def test_level_below_min_takes_whole_grid(self):
         fld = make_field("linear", a=(1.0,), b=0.0)
@@ -222,6 +221,27 @@ class TestSetCount:
                 assert count_distinct_knn_sets(data, k, grid) <= \
                     knn_set_count_bound(n, 2)
 
+    def test_peak_memory_bounded_and_blocks_agree_with_oracle(self):
+        # 4096 probes against 4096 plane points: one 4096 x n x D block
+        # would take 256 MiB of coordinate differences alone.
+        import tracemalloc
+
+        rng = np.random.default_rng(37)
+        data = Dataset(PointSet(rng.random((4096, 2))), np.zeros(4096))
+        probes = rng.random((4096, 2))
+        tracemalloc.start()
+        try:
+            count_distinct_knn_sets(data, 8, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        # A few hundred probes span several blocks; the count matches the
+        # distinct oracle sets.
+        sets = {brute_force_knn(data.x.points, q, 8).member_indices.tobytes()
+                for q in probes[:300]}
+        assert count_distinct_knn_sets(data, 8, probes[:300]) == len(sets)
+
     def test_k_validation(self):
         data = data1d([0.0, 1.0], [0.0, 0.0])
         grid, _ = uniform_grid((0.0,), (1.0,), 10)
@@ -234,4 +254,5 @@ class TestCloudFromLevelSet:
         reg = make_regressor(data1d([0.0, 1.0, 2.0], [0.0, 5.0, 10.0]), 1)
         est = estimate_level_set(reg, 5.0, 0.0)
         c = cloud_from_level_set(est, 1)
-        assert c.size == 2 and c.provenance == "samples"
+        assert c.size == 2
+        assert np.array_equal(c.points, [[1.0], [2.0]])
