@@ -17,7 +17,7 @@ from .experiments import (ConfigError, DegenerateFitError, fit_rate,
 
 
 class _UsageError(Exception):
-    pass
+    """A bad command line or an unreadable input file: exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,7 +46,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config master seed")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--format", default="csv", help="output format")
         p.add_argument("--quiet", action="store_true",
                        help="suppress informational output")
     fit = sub.add_parser("fit", help="fit a log-log rate to a records CSV")
@@ -54,21 +53,23 @@ def _build_parser() -> _Parser:
     fit.add_argument("--quantity", default=None,
                      help="quantity column to fit (default: most common)")
     fit.add_argument("--out", default=None, help="output CSV path")
-    fit.add_argument("--format", default="csv", help="output format")
     fit.add_argument("--quiet", action="store_true")
     return parser
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path is None:
+def _emit(text: str, path) -> None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as f:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
 
 
 def _run_fit(args) -> int:
-    records = read_records(args.records)
+    try:
+        records = read_records(args.records)
+    except (OSError, ValueError) as e:  # unreadable or malformed: bad input
+        raise _UsageError(str(e)) from e
     quantity = args.quantity
     if quantity is None:
         if not records:
@@ -100,8 +101,6 @@ def cli_main(argv=None) -> int:
         return 1
 
     try:
-        if args.format != "csv":
-            raise ConfigError(f"--format: unsupported format {args.format!r}")
         if args.command == "fit":
             return _run_fit(args)
 
@@ -129,11 +128,10 @@ def cli_main(argv=None) -> int:
         else:
             records = run_experiment(cfg)
 
-        out_path = args.out if args.out is not None else cfg.out_path
-        if out_path is None:
+        if args.out is None:
             sys.stdout.write(records_to_csv(records))
         else:
-            write_records(out_path, records)
+            write_records(args.out, records)
         if not args.quiet:
             # A trial may write several records (coverage writes two),
             # each carrying the trial's time: count each trial once.
@@ -142,7 +140,8 @@ def cli_main(argv=None) -> int:
             print(f"{args.command}: {len(records)} records in ~{total_ms} ms",
                   file=sys.stderr)
         return 0
-    except (ConfigError, DegenerateFitError, FileNotFoundError) as e:
+    except (ConfigError, DegenerateFitError, FileNotFoundError,
+            _UsageError) as e:
         print(f"knnrates {args.command}: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure

@@ -63,8 +63,15 @@ class KRule:
             raise ConfigError(f"k.rule: unknown rule {self.rule!r}")
         if self.rule == "fixed" and (self.fixed is None or self.fixed < 1):
             raise ConfigError("k.fixed: a positive integer is required")
-        if self.rule == "power" and (self.exponent is None or self.exponent <= 0):
-            raise ConfigError("k.exponent: a positive exponent is required")
+        if self.rule == "power" and not (self.exponent is not None
+                                         and 0.0 < self.exponent < math.inf):
+            raise ConfigError("k.exponent: a positive finite exponent is "
+                              "required")
+        if not 0.0 < self.factor < math.inf:
+            raise ConfigError("k.factor: must be positive and finite")
+        if self.mode not in bnd._OPT_MODES:
+            raise ConfigError(f"k.mode: unknown mode {self.mode!r}; expected "
+                              f"one of {bnd._OPT_MODES}")
 
 
 def resolve_k(rule: KRule, n: int, rate_dim: int,
@@ -100,10 +107,7 @@ class ExperimentConfig:
     field_params: Optional[dict] = None
     manifold: Optional[ManifoldSpec] = None
     level_lambda: Optional[float] = None
-    epsilon_override: Optional[float] = None
     m2: Optional[float] = None
-    bounds_overrides: Optional[dict] = None
-    out_path: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -223,7 +227,6 @@ def bound_params_for(cfg: ExperimentConfig, fld: ScalarField) -> BoundParams:
     base.update(sigma=cfg.noise.sigma, delta=cfg.delta, alpha=md.alpha,
                 c_alpha=md.c_alpha, beta=md.beta, c_low=md.c_low,
                 c_high=md.c_high, r_m=md.r_m, m2=cfg.m2)
-    base.update(cfg.bounds_overrides or {})
     return BoundParams(**base)
 
 
@@ -388,10 +391,7 @@ def run_levelset(cfg: ExperimentConfig) -> list:
 
     def measure(data, k):
         reg = make_regressor(data, k)
-        if cfg.epsilon_override is not None:
-            eps = float(cfg.epsilon_override)
-        else:
-            eps = level_set_epsilon(data, D, k, cfg.delta).epsilon
+        eps = level_set_epsilon(data, D, k, cfg.delta).epsilon
         est = estimate_level_set(reg, lam, eps)
         if truth.size == 0 or est.member_indices.size == 0:
             return [("d_H", float("nan"))]
@@ -494,23 +494,30 @@ def write_records(path, records) -> None:
 
 
 def read_records(path) -> list:
+    """Records from a CSV that `write_records` wrote.  A malformed file
+    raises ValueError naming the path and the line."""
     records = []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected CSV header {header!r}")
-        for line in f:
+            raise ValueError(f"{path}, line 1: unexpected CSV header "
+                             f"{header!r}")
+        for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
             cols = line.split(",")
-            if len(cols) != 9:
-                raise ValueError(f"{path}: malformed row {line!r}")
-            records.append(ExperimentRecord(
-                experiment=cols[0], n=int(cols[1]), k=int(cols[2]),
-                seed=int(cols[3]), quantity=cols[4], value=float(cols[5]),
-                bound=float(cols[6]), valid_k=bool(int(cols[7])),
-                ms=int(cols[8])))
+            try:
+                if len(cols) != 9:
+                    raise ValueError(f"{len(cols)} columns, expected 9")
+                records.append(ExperimentRecord(
+                    experiment=cols[0], n=int(cols[1]), k=int(cols[2]),
+                    seed=int(cols[3]), quantity=cols[4],
+                    value=float(cols[5]), bound=float(cols[6]),
+                    valid_k=bool(int(cols[7])), ms=int(cols[8])))
+            except ValueError as e:
+                raise ValueError(f"{path}, line {lineno}: malformed row "
+                                 f"{line!r} ({e})") from e
     return records
 
 
@@ -535,13 +542,9 @@ _KNOWN_KEYS = {
     "field.c_alpha", "field.alpha", "field.curvature", "field.height",
     "field.r_m",
     "manifold.kind", "manifold.ambient_dim", "manifold.radius",
-    "manifold.tube_radius", "manifold.winding", "manifold.theta0",
-    "manifold.theta1", "manifold.pitch", "manifold.rotate",
-    "manifold.rotation_seed", "manifold.field_slope",
+    "manifold.rotate", "manifold.rotation_seed", "manifold.field_slope",
     "manifold.field_center_s", "manifold.field_peak",
-    "level.lambda", "level.epsilon_override", "level.m2",
-    "bounds.gamma", "bounds.p0", "bounds.r0", "bounds.sigma",
-    "output.path",
+    "level.lambda", "level.m2",
 }
 
 
@@ -601,59 +604,54 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _spec(section: str, make, *args):
+    """Build one part of a config.  The spec and field constructors start
+    each ValueError message with the offending parameter's name, which is
+    its key within `section`, so the ConfigError names the key."""
+    try:
+        return make(*args)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{section}.{e}") from e
+
+
 def build_config(pairs: dict) -> ExperimentConfig:
     unknown = sorted(set(pairs) - _KNOWN_KEYS)
     if unknown:
         raise ConfigError("unknown config key(s): " + ", ".join(unknown))
 
     kind = _get(pairs, "experiment.kind", str, required=True)
-    density = _density_from(pairs)
-    manifold = _manifold_from(pairs)
-    noise_kind = _get(pairs, "noise.kind", str, default="none")
-    noise = NoiseSpec(kind=noise_kind,
-                      scale=_get(pairs, "noise.scale", float, default=0.0))
-
-    k_rule = KRule(rule=_get(pairs, "k.rule", str, default="optimal"),
-                   fixed=_get(pairs, "k.fixed", int),
-                   mode=_get(pairs, "k.mode", str, default="regression"),
-                   factor=_get(pairs, "k.factor", float, default=1.0),
-                   exponent=_get(pairs, "k.exponent", float))
-
+    density = _spec("density", _density_from, pairs)
     field_kind = _get(pairs, "field.kind", str)
-    field_params = _field_params_from(pairs, field_kind, density, kind)
-
-    overrides = {}
-    for name in ("gamma", "p0", "r0", "sigma"):
-        v = _get(pairs, f"bounds.{name}", float)
-        if v is not None:
-            overrides[name] = v
-
-    try:
-        return ExperimentConfig(
-            kind=kind,
-            master_seed=_get(pairs, "seed.master", int, required=True),
-            n_ladder=_get(pairs, "ladder.n", _ints, required=True),
-            seeds_per_n=_get(pairs, "trial.seeds_per_n", int, default=1),
-            delta=_get(pairs, "trial.delta", float, default=0.1),
-            k_rule=k_rule,
-            k_values=_get(pairs, "k.values", _ints, default=()),
-            probe_cells=_get(pairs, "probes.cells", int, default=512),
-            probe_count=_get(pairs, "probes.count", int, default=4096),
-            density=density,
-            noise=noise,
-            field_kind=field_kind,
-            field_params=field_params,
-            manifold=manifold,
-            level_lambda=_get(pairs, "level.lambda", float),
-            epsilon_override=_get(pairs, "level.epsilon_override", float),
-            m2=_get(pairs, "level.m2", float),
-            bounds_overrides=overrides,
-            out_path=_get(pairs, "output.path", str),
-        )
-    except (ValueError, TypeError) as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(str(e)) from e
+    cfg = ExperimentConfig(
+        kind=kind,
+        master_seed=_get(pairs, "seed.master", int, required=True),
+        n_ladder=_get(pairs, "ladder.n", _ints, required=True),
+        seeds_per_n=_get(pairs, "trial.seeds_per_n", int, default=1),
+        delta=_get(pairs, "trial.delta", float, default=0.1),
+        k_rule=KRule(rule=_get(pairs, "k.rule", str, default="optimal"),
+                     fixed=_get(pairs, "k.fixed", int),
+                     mode=_get(pairs, "k.mode", str, default="regression"),
+                     factor=_get(pairs, "k.factor", float, default=1.0),
+                     exponent=_get(pairs, "k.exponent", float)),
+        k_values=_get(pairs, "k.values", _ints, default=()),
+        probe_cells=_get(pairs, "probes.cells", int, default=512),
+        probe_count=_get(pairs, "probes.count", int, default=4096),
+        density=density,
+        noise=_spec("noise", NoiseSpec,
+                    _get(pairs, "noise.kind", str, default="none"),
+                    _get(pairs, "noise.scale", float, default=0.0)),
+        field_kind=field_kind,
+        field_params=_field_params_from(pairs, field_kind, density, kind),
+        manifold=_spec("manifold", _manifold_from, pairs),
+        level_lambda=_get(pairs, "level.lambda", float),
+        m2=_get(pairs, "level.m2", float),
+    )
+    if cfg.kind != "setcount":
+        # Every other runner builds the field; a bad field value fails here.
+        _spec("field", experiment_field, cfg)
+    return cfg
 
 
 def _density_from(pairs) -> Optional[DensitySpec]:
@@ -681,9 +679,10 @@ def _manifold_from(pairs) -> Optional[ManifoldSpec]:
     kind = _get(pairs, "manifold.kind", str)
     if kind is None:
         return None
-    kwargs = dict(
+    return ManifoldSpec(
         kind=kind,
         ambient_dim=_get(pairs, "manifold.ambient_dim", int, required=True),
+        radius=_get(pairs, "manifold.radius", float, default=1.0),
         rotate=_get(pairs, "manifold.rotate", _bool, default=False),
         rotation_seed=_get(pairs, "manifold.rotation_seed", int, default=0),
         field_slope=_get(pairs, "manifold.field_slope", float, default=2.0),
@@ -691,17 +690,6 @@ def _manifold_from(pairs) -> Optional[ManifoldSpec]:
                             default=0.0),
         field_peak=_get(pairs, "manifold.field_peak", float, default=0.5),
     )
-    for name in ("radius", "tube_radius", "theta0", "theta1", "pitch"):
-        v = _get(pairs, f"manifold.{name}", float)
-        if v is not None:
-            kwargs[name] = v
-    w = _get(pairs, "manifold.winding", int)
-    if w is not None:
-        kwargs["winding"] = w
-    try:
-        return ManifoldSpec(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"manifold.kind: {e}") from e
 
 
 def _field_params_from(pairs, field_kind, density, experiment_kind):

@@ -13,7 +13,6 @@ trial's streams depend only on (master, n, seed, label).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -75,10 +74,10 @@ def uniform_box(low, high) -> DensitySpec:
     low = tuple(np.atleast_1d(np.asarray(low, dtype=np.float64)))
     high = tuple(np.atleast_1d(np.asarray(high, dtype=np.float64)))
     if len(low) != len(high):
-        raise ValueError("low and high must have the same length")
+        raise ValueError("high: must have as many coordinates as low")
     sides = np.subtract(high, low)
     if not (sides > 0).all():
-        raise ValueError("box sides must be positive")
+        raise ValueError("high: must exceed low on every axis")
     d = len(low)
     vol = float(np.prod(sides))
     return DensitySpec(kind="uniform-box", dim=d, low=low, high=high,
@@ -91,8 +90,8 @@ def uniform_ball(center, radius: float) -> DensitySpec:
     any boundary intersection, giving gamma = 2^-D with r0 = radius."""
     center = tuple(np.atleast_1d(np.asarray(center, dtype=np.float64)))
     radius = float(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius: must be positive and finite")
     d = len(center)
     vol = unit_ball_volume(d) * radius ** d
     return DensitySpec(kind="uniform-ball", dim=d, center=center, radius=radius,
@@ -106,11 +105,11 @@ def truncated_mixture(low, high, bump_center, bump_sigma: float,
     base = uniform_box(low, high)
     bump_center = tuple(np.atleast_1d(np.asarray(bump_center, dtype=np.float64)))
     if len(bump_center) != base.dim:
-        raise ValueError("bump center dimension mismatch")
+        raise ValueError("bump_center: must have the dimension of the box")
     if not (0.0 <= bump_weight < 1.0):
-        raise ValueError("bump weight must lie in [0, 1)")
-    if bump_sigma <= 0:
-        raise ValueError("bump sigma must be positive")
+        raise ValueError("bump_weight: must lie in [0, 1)")
+    if not 0.0 < bump_sigma < math.inf:
+        raise ValueError("bump_sigma: must be positive and finite")
     return DensitySpec(kind="truncated-mixture", dim=base.dim,
                        low=base.low, high=base.high,
                        bump_center=bump_center, bump_sigma=float(bump_sigma),
@@ -178,9 +177,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "uniform-bounded", "rademacher", "none"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.scale < 0:
-            raise ValueError("noise scale must be nonnegative")
+            raise ValueError(f"kind: unknown noise kind {self.kind!r}")
+        if not 0.0 <= self.scale < math.inf:
+            raise ValueError("scale: must be nonnegative and finite")
 
     @property
     def sigma(self) -> float:
@@ -254,13 +253,13 @@ def _tent_field(center, slope: float, peak: float = 1.0,
     regularity constants are slope on both sides with exponent 1."""
     center = np.atleast_1d(np.asarray(center, dtype=np.float64))
     slope, peak = float(slope), float(peak)
-    if slope <= 0:
-        raise ValueError("tent slope must be positive")
+    if not 0.0 < slope < math.inf:
+        raise ValueError("slope: must be positive and finite")
     meta = dict(alpha=1.0, c_alpha=slope, argmax=center)
     if level is not None:
         level = float(level)
         if level >= peak:
-            raise ValueError("tent level must lie below the peak")
+            raise ValueError("level: must lie below the tent's peak")
         rho = (peak - level) / slope
         meta.update(level=level, beta=1.0, c_low=slope, c_high=slope, r_m=rho)
     return ScalarField(
@@ -276,9 +275,9 @@ def _holder_cusp_field(center, c_alpha: float, alpha: float,
     center = np.atleast_1d(np.asarray(center, dtype=np.float64))
     c, a, peak = float(c_alpha), float(alpha), float(peak)
     if not (0.0 < a <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
-    if c < 0:
-        raise ValueError("c_alpha must be nonnegative")
+        raise ValueError("alpha: must lie in (0, 1]")
+    if not 0.0 <= c < math.inf:
+        raise ValueError("c_alpha: must be nonnegative and finite")
     return ScalarField(
         dim=center.shape[0],
         fn=lambda X: peak - c * _radial_dist(X, center) ** a,
@@ -292,8 +291,8 @@ def _quadratic_peak_field(center, curvature: float, height: float = 1.0,
     `curvature` exactly."""
     center = np.atleast_1d(np.asarray(center, dtype=np.float64))
     q, h = float(curvature), float(height)
-    if q <= 0:
-        raise ValueError("curvature must be positive")
+    if not 0.0 < q < math.inf:
+        raise ValueError("curvature: must be positive and finite")
     return ScalarField(
         dim=center.shape[0],
         fn=lambda X: h - q * _radial_dist(X, center) ** 2,
@@ -307,22 +306,15 @@ def _quadratic_peak_field(center, curvature: float, height: float = 1.0,
 
 @dataclass(frozen=True)
 class ManifoldSpec:
-    """One-dimensional curve embedded in R^D, carrying a field that depends
-    only on the arc-length coordinate.
-
-    kinds: circle (exact closed forms, tau = radius), torus-curve (a
-    (1, winding) curve on a torus; length and projection are tabulated),
-    swiss-roll-curve (Archimedean spiral with closed-form arc length).
-    """
+    """A circle of the given radius in the first two ambient coordinates
+    (optionally rotated), carrying a tent field in the arc-length
+    coordinate.  Its reach tau is the radius and the field's ambient
+    smoothness constant is known exactly, so every bound it feeds is
+    checkable."""
 
     kind: str
     ambient_dim: int
-    radius: float = 1.0           # circle radius / torus major radius
-    tube_radius: float = 0.25     # torus minor radius
-    winding: int = 3              # torus tube winds per revolution
-    theta0: float = 1.5 * math.pi  # spiral angular range
-    theta1: float = 4.5 * math.pi
-    pitch: float = 0.05           # spiral radius growth per radian
+    radius: float = 1.0
     rotate: bool = False
     rotation_seed: int = 0
     field_slope: float = 2.0
@@ -330,61 +322,32 @@ class ManifoldSpec:
     field_peak: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("circle", "torus-curve", "swiss-roll-curve"):
-            raise ValueError(f"unknown manifold kind {self.kind!r}")
-        min_dim = {"circle": 2, "torus-curve": 3, "swiss-roll-curve": 2}
-        if self.ambient_dim < min_dim[self.kind]:
-            raise ValueError(
-                f"{self.kind} needs ambient dimension >= {min_dim[self.kind]}")
+        if self.kind != "circle":
+            raise ValueError(f"kind: unknown manifold kind {self.kind!r}; "
+                             "only 'circle' is supported")
+        if self.ambient_dim < 2:
+            raise ValueError("ambient_dim: must be >= 2 for a circle")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("radius: must be positive and finite")
+        if not 0.0 <= self.field_slope < math.inf:
+            raise ValueError("field_slope: must be nonnegative and finite")
 
     @property
     def d(self) -> int:
         return 1
 
     @property
-    def tau(self) -> Optional[float]:
-        # Reach in closed form is only available for the circle.
-        return self.radius if self.kind == "circle" else None
+    def tau(self) -> float:
+        return self.radius
 
     @property
     def length(self) -> float:
-        if self.kind == "circle":
-            return 2.0 * math.pi * self.radius
-        if self.kind == "swiss-roll-curve":
-            return _spiral_arclen(self.pitch, self.theta1) \
-                - _spiral_arclen(self.pitch, self.theta0)
-        return float(_torus_table(self)[1][-1])
-
-    @property
-    def periodic(self) -> bool:
-        return self.kind in ("circle", "torus-curve")
+        return 2.0 * math.pi * self.radius
 
     @property
     def p0(self) -> float:
         """Uniform-in-arc-length density floor: 1 / length."""
         return 1.0 / self.length
-
-
-def _spiral_arclen(b: float, theta: float) -> float:
-    return 0.5 * b * (theta * math.sqrt(1.0 + theta * theta) + math.asinh(theta))
-
-
-_TORUS_TABLE_SIZE = 4096
-
-
-def _torus_table(spec: ManifoldSpec):
-    return _torus_table_cached(spec.radius, spec.tube_radius, spec.winding)
-
-
-@functools.lru_cache(maxsize=16)
-def _torus_table_cached(R: float, r: float, w: int):
-    """Dense (parameter, cumulative arc length) table for the torus curve."""
-    t = np.linspace(0.0, 2.0 * math.pi, _TORUS_TABLE_SIZE * w + 1)
-    ring = R + r * np.cos(w * t)
-    speed = np.sqrt(ring * ring + (r * w) ** 2)
-    seg = 0.5 * (speed[1:] + speed[:-1]) * np.diff(t)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    return t, s
 
 
 def _rotation_matrix(dim: int, seed: int) -> np.ndarray:
@@ -393,104 +356,47 @@ def _rotation_matrix(dim: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _plane_coords(spec: ManifoldSpec, s: np.ndarray) -> np.ndarray:
-    if spec.kind == "circle":
-        theta = s / spec.radius
-        return np.stack([spec.radius * np.cos(theta),
-                         spec.radius * np.sin(theta)], axis=1)
-    if spec.kind == "swiss-roll-curve":
-        theta = _spiral_theta(spec, s)
-        r = spec.pitch * theta
-        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-    # torus-curve
-    t_tab, s_tab = _torus_table(spec)
-    t = np.interp(s, s_tab, t_tab)
-    R, r, w = spec.radius, spec.tube_radius, spec.winding
-    ring = R + r * np.cos(w * t)
-    return np.stack([ring * np.cos(t), ring * np.sin(t),
-                     r * np.sin(w * t)], axis=1)
-
-
-def _spiral_theta(spec: ManifoldSpec, s: np.ndarray) -> np.ndarray:
-    """Invert the spiral arc length by bisection (deterministic)."""
-    s = np.asarray(s, dtype=np.float64)
-    target = _spiral_arclen(spec.pitch, spec.theta0) + s
-    lo = np.full_like(target, spec.theta0)
-    hi = np.full_like(target, spec.theta1)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        val = 0.5 * spec.pitch * (mid * np.sqrt(1.0 + mid * mid)
-                                  + np.arcsinh(mid))
-        below = val < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def embed_points(spec: ManifoldSpec, s: np.ndarray) -> np.ndarray:
     """Map arc-length coordinates to ambient coordinates."""
-    plane = _plane_coords(spec, np.asarray(s, dtype=np.float64))
-    pts = np.zeros((plane.shape[0], spec.ambient_dim))
-    pts[:, :plane.shape[1]] = plane
+    theta = np.asarray(s, dtype=np.float64) / spec.radius
+    pts = np.zeros((theta.shape[0], spec.ambient_dim))
+    pts[:, 0] = spec.radius * np.cos(theta)
+    pts[:, 1] = spec.radius * np.sin(theta)
     if spec.rotate:
         pts = pts @ _rotation_matrix(spec.ambient_dim, spec.rotation_seed).T
     return pts
 
 
 def to_intrinsic(spec: ManifoldSpec, X: np.ndarray) -> np.ndarray:
-    """Recover arc-length coordinates of ambient points on (or near) the
-    curve.  Exact for circle and spiral; the torus curve projects through
-    its dense parameter table."""
+    """Arc-length coordinates in [0, length) of ambient points on (or
+    near) the circle."""
     X = np.asarray(X, dtype=np.float64)
     if spec.rotate:
         X = X @ _rotation_matrix(spec.ambient_dim, spec.rotation_seed)
-    if spec.kind == "circle":
-        theta = np.arctan2(X[:, 1], X[:, 0]) % (2.0 * math.pi)
-        return spec.radius * theta
-    if spec.kind == "swiss-roll-curve":
-        theta = np.linalg.norm(X[:, :2], axis=1) / spec.pitch
-        return _spiral_arclen_vec(spec.pitch, theta) \
-            - _spiral_arclen(spec.pitch, spec.theta0)
-    t_tab, s_tab = _torus_table(spec)
-    ref = _plane_coords(spec, s_tab)
-    out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], 256):
-        xc = X[lo:lo + 256, :3]
-        d2 = ((xc[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-        out[lo:lo + 256] = s_tab[np.argmin(d2, axis=1)]
-    return out
-
-
-def _spiral_arclen_vec(b: float, theta: np.ndarray) -> np.ndarray:
-    return 0.5 * b * (theta * np.sqrt(1.0 + theta * theta) + np.arcsinh(theta))
+    theta = np.arctan2(X[:, 1], X[:, 0]) % (2.0 * math.pi)
+    return spec.radius * theta
 
 
 def manifold_field(spec: ManifoldSpec) -> ScalarField:
     """Tent in arc-length distance, lifted to ambient coordinates.
 
-    On the circle the ambient smoothness constant is slope * pi/2 exactly
-    (arc length of a minor arc is at most pi/2 times its chord)."""
+    The ambient smoothness constant is slope * pi/2 exactly (the arc
+    length of a minor arc is at most pi/2 times its chord)."""
     L = spec.length
     slope, s0, peak = spec.field_slope, spec.field_center_s, spec.field_peak
-    periodic = spec.periodic
-
-    def arc_dist(s):
-        gap = np.abs(s - s0)
-        return np.minimum(gap, L - gap) if periodic else gap
 
     def fn(X):
-        return peak - slope * arc_dist(to_intrinsic(spec, X))
+        gap = np.abs(to_intrinsic(spec, X) - s0)
+        return peak - slope * np.minimum(gap, L - gap)
 
-    c_amb = slope * math.pi / 2.0 if spec.kind == "circle" else None
     return ScalarField(
         dim=spec.ambient_dim, fn=fn,
-        metadata=FieldMetadata(alpha=1.0, c_alpha=c_amb))
+        metadata=FieldMetadata(alpha=1.0, c_alpha=slope * math.pi / 2.0))
 
 
 @dataclass(frozen=True)
 class ManifoldSample:
     points: PointSet
-    intrinsic: np.ndarray
 
 
 def embed_manifold(spec: ManifoldSpec, n: int, seed) -> ManifoldSample:
@@ -498,18 +404,14 @@ def embed_manifold(spec: ManifoldSpec, n: int, seed) -> ManifoldSample:
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if spec.d >= spec.ambient_dim:
-        raise ValueError("intrinsic dimension must be below ambient dimension")
     s = spec.length * _rng(seed).random(n)
-    return ManifoldSample(points=PointSet(embed_points(spec, s)), intrinsic=s)
+    return ManifoldSample(points=PointSet(embed_points(spec, s)))
 
 
 def manifold_probe_grid(spec: ManifoldSpec, cells: int) -> PointSet:
-    """Evenly spaced arc-length grid mapped to ambient coordinates."""
-    if spec.periodic:
-        s = np.arange(cells) * (spec.length / cells)
-    else:
-        s = np.linspace(0.0, spec.length, cells + 1)
+    """`cells` evenly spaced arc-length points mapped to ambient
+    coordinates."""
+    s = np.arange(cells) * (spec.length / cells)
     return PointSet(embed_points(spec, s))
 
 

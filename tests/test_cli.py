@@ -35,16 +35,40 @@ def config_path(tmp_path):
     return path
 
 
+# (line of CONFIG, its replacement, the key the error must name)
+BAD_VALUES = [pytest.param(*case, id=case[2]) for case in [
+    ("probes.cells = 64", "probes.cells = 0", "probes.cells"),
+    ("density.high = 1.0", "density.high = -1.0", "density.high"),
+    ("density.kind = uniform-box\ndensity.low = 0.0\ndensity.high = 1.0",
+     "density.kind = uniform-ball\ndensity.center = 0.5\n"
+     "density.radius = -1", "density.radius"),
+    ("field.slope = 2.0", "field.slope = -2", "field.slope"),
+    ("field.kind = tent\nfield.center = 0.5\nfield.slope = 2.0",
+     "field.kind = holder-cusp\nfield.center = 0.5\n"
+     "field.c_alpha = 1.0\nfield.alpha = 2", "field.alpha"),
+    ("noise.kind = gaussian", "noise.kind = cauchy", "noise.kind"),
+    ("noise.scale = 0.1", "noise.scale = nan", "noise.scale"),
+    ("k.exponent = 0.6667", "k.exponent = nan", "k.exponent"),
+    ("k.exponent = 0.6667", "k.exponent = 0.6667\nk.factor = nan",
+     "k.factor"),
+    ("k.rule = power", "k.rule = optimal\nk.mode = bogus", "k.mode"),
+]]
+
+
 class TestExitCodes:
     def test_unknown_subcommand_usage_on_stderr(self, capsys):
         assert cli_main(["frobnicate"]) == 1
         err = capsys.readouterr().err
         assert "usage" in err.lower()
 
-    def test_unknown_flag(self, capsys, config_path):
+    # CSV is the only output, so there is no --format flag.
+    @pytest.mark.parametrize("flags", [["--frob"], ["--format", "csv"]],
+                             ids=["--frob", "--format"])
+    def test_unknown_flag(self, capsys, config_path, flags):
         assert cli_main(["regress", "--config", str(config_path),
-                         "--frob"]) == 1
-        assert "usage" in capsys.readouterr().err.lower()
+                         *flags]) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and flags[0] in err
 
     def test_no_subcommand(self, capsys):
         assert cli_main([]) == 1
@@ -52,11 +76,6 @@ class TestExitCodes:
     def test_missing_config_names_path(self, capsys):
         assert cli_main(["regress", "--config", "/no/such/file.cfg"]) == 1
         assert "/no/such/file.cfg" in capsys.readouterr().err
-
-    def test_bad_format_rejected(self, capsys, config_path):
-        assert cli_main(["regress", "--config", str(config_path),
-                         "--format", "parquet"]) == 1
-        assert "parquet" in capsys.readouterr().err
 
     def test_kind_mismatch(self, capsys, config_path):
         assert cli_main(["maxima", "--config", str(config_path)]) == 1
@@ -67,11 +86,14 @@ class TestExitCodes:
         bad.write_text("experiment.kind = regression\n")
         assert cli_main(["regress", "--config", str(bad)]) == 1
 
-    def test_out_of_range_value_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, new, key", BAD_VALUES)
+    def test_out_of_range_value_exit_1(self, tmp_path, capsys, line, new,
+                                       key):
+        assert line in CONFIG
         bad = tmp_path / "bad.cfg"
-        bad.write_text(CONFIG.replace("probes.cells = 64", "probes.cells = 0"))
+        bad.write_text(CONFIG.replace(line, new))
         assert cli_main(["regress", "--config", str(bad), "--quiet"]) == 1
-        assert "probes.cells" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_runtime_failure_exit_2(self, config_path, monkeypatch, capsys):
         import knnrates.cli as climod
@@ -132,6 +154,22 @@ class TestFitPipeline:
 
     def test_fit_missing_file(self, capsys):
         assert cli_main(["fit", "/no/records.csv"]) == 1
+
+    @pytest.mark.parametrize("text, where", [
+        ("a,b\n", "line 1"),
+        ("experiment,n,k,seed,quantity,value,bound,valid_k,ms\n"
+         "regression,xx,1,0,sup_error,1.0,nan,1,0\n", "line 2"),
+        (None, "")], ids=["header", "cell", "directory"])
+    def test_fit_malformed_records_exit_1(self, tmp_path, capsys, text,
+                                          where):
+        path = tmp_path / "r.csv"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        assert cli_main(["fit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and where in err
 
     def test_fit_degenerate_exit_1(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -53,9 +53,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("a.b = 1\na.b = 2\n")
 
-    def test_unknown_key_named(self):
-        with pytest.raises(ConfigError, match="density.sides"):
-            build_config(base_pairs(**{"density.sides": "1"}))
+    # After a made-up key, the keys a config would use to shape a curve
+    # other than the circle, override constants the generators declare,
+    # fix the level-set margin or repeat --out.
+    @pytest.mark.parametrize("key", [
+        "density.sides", "manifold.tube_radius", "manifold.winding",
+        "manifold.theta0", "manifold.theta1", "manifold.pitch",
+        "bounds.gamma", "bounds.p0", "bounds.r0", "bounds.sigma",
+        "level.epsilon_override", "output.path"])
+    def test_unknown_key_named(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
+            build_config(base_pairs(**{key: "1"}))
 
     def test_missing_required_named(self):
         pairs = base_pairs()
@@ -74,6 +82,13 @@ class TestConfigParsing:
     def test_unknown_density_kind(self):
         with pytest.raises(ConfigError, match="density.kind"):
             build_config(base_pairs(**{"density.kind": "power-law"}))
+
+    def test_only_the_circle_manifold(self):
+        with pytest.raises(ConfigError, match="^manifold.kind: .*torus-curve"):
+            build_config({
+                "experiment.kind": "regression", "seed.master": "1",
+                "ladder.n": "32", "manifold.kind": "torus-curve",
+                "manifold.ambient_dim": "3"})
 
     def test_full_roundtrip(self):
         cfg = build_config(base_pairs())
@@ -266,19 +281,6 @@ class TestRunners:
         assert len(records) == 2
         assert all(math.isnan(r.value) for r in records)
 
-    def test_levelset_epsilon_override_zero_noise_tightens(self):
-        common = {
-            "experiment.kind": "levelset", "ladder.n": "512",
-            "trial.seeds_per_n": "3", "level.lambda": "0.5",
-            "noise.kind": "none", "noise.scale": "0",
-            "k.rule": "fixed", "k.fixed": "8"}
-        noisy = build_config(base_pairs(**common))
-        tight = build_config(base_pairs(**dict(
-            common, **{"level.epsilon_override": "0.0"})))
-        dh_auto = np.median([r.value for r in run_levelset(noisy)])
-        dh_zero = np.median([r.value for r in run_levelset(tight)])
-        assert dh_zero <= dh_auto
-
     def test_maxima_zero_noise_k1_nearest_sample(self):
         cfg = build_config(base_pairs(**{
             "experiment.kind": "maxima", "ladder.n": "64",
@@ -396,11 +398,6 @@ class TestBoundParamsFor:
         assert params.gamma == 0.5 and params.p0 == 1.0 and params.r0 == 0.5
         assert params.alpha == 1.0 and params.c_alpha == 2.0
         assert params.sigma == 0.1 and params.delta == 0.1
-
-    def test_overrides_win(self):
-        cfg = build_config(base_pairs(**{"bounds.gamma": "1.0"}))
-        params = bound_params_for(cfg, experiment_field(cfg))
-        assert params.gamma == 1.0
 
     def test_manifold_constants(self):
         cfg = build_config({
