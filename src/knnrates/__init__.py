@@ -28,7 +28,6 @@ from .synth import (DensitySpec, ManifoldSample, ManifoldSpec, NoiseSpec,
                     embed_manifold, embed_points, halton_probes, make_field,
                     manifold_field, manifold_probe_grid, sample_noise,
                     sample_points, stream_seed, to_intrinsic,
-                    truncated_mixture, uniform_ball, uniform_box,
-                    uniform_grid)
+                    truncated_mixture, uniform_box, uniform_grid)
 
 __version__ = "0.1.0"

@@ -21,16 +21,16 @@ import numpy as np
 from . import bounds as bnd
 from .bounds import (BoundParams, MissingParameterError, k_range_check,
                      knn_set_count_bound, level_set_epsilon, optimal_k)
-from .neighbors import PointSet, knn_radii
+from .neighbors import knn_radii
 from .regression import Dataset, ScalarField, make_regressor, sup_error
 from .structures import (cloud_from_level_set, count_distinct_knn_sets,
                          estimate_level_set, estimate_maxima,
                          hausdorff_distance, true_level_set_grid)
-from .synth import (DensitySpec, ManifoldSpec, NoiseSpec, ball_halton,
-                    embed_manifold, halton_probes, make_field, manifold_field,
+from .synth import (DensitySpec, ManifoldSpec, NoiseSpec, embed_manifold,
+                    halton_probes, make_field, manifold_field,
                     manifold_probe_grid, sample_noise, sample_points,
-                    stream_seed, support_box, truncated_mixture, uniform_ball,
-                    uniform_box, uniform_grid)
+                    stream_seed, support_box, truncated_mixture, uniform_box,
+                    uniform_grid)
 
 
 class ConfigError(ValueError):
@@ -130,6 +130,8 @@ class ExperimentConfig:
             raise ConfigError("probes.count: must be >= 1")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("trial.delta: must lie in (0, 1)")
+        if self.m2 is not None and not 0.0 <= self.m2 < math.inf:
+            raise ConfigError("level.m2: must be nonnegative and finite")
         if self.density is None and self.manifold is None:
             raise ConfigError("density.kind or manifold.kind is required")
         # probe_set and run_levelset lay a grid of probe_cells per axis over
@@ -241,19 +243,7 @@ def probe_set(cfg: ExperimentConfig):
     ds = cfg.density
     lo, hi = support_box(ds)
     if ds.dim <= 2:
-        grid, h = uniform_grid(lo, hi, cfg.probe_cells)
-        pts = grid.points
-        if ds.kind == "uniform-ball":
-            c = np.asarray(ds.center)
-            keep = ((pts - c) ** 2).sum(axis=1) <= ds.radius ** 2
-            pts = pts[keep]
-            if pts.shape[0] == 0:
-                raise ConfigError("probes.cells: grid too coarse to place "
-                                  "probes inside the ball support")
-        return PointSet(pts), h
-    if ds.kind == "uniform-ball":
-        return PointSet(ball_halton(ds.center, ds.radius,
-                                    cfg.probe_count)), None
+        return uniform_grid(lo, hi, cfg.probe_cells)
     return halton_probes(lo, hi, cfg.probe_count), None
 
 
@@ -525,22 +515,16 @@ def read_records(path) -> list:
 # config file format
 
 
-_LIST_KEYS = {"ladder.n", "k.values", "density.low", "density.high",
-              "density.center", "density.bump_center", "field.center",
-              "field.a"}
-
 _KNOWN_KEYS = {
     "experiment.kind", "seed.master", "trial.seeds_per_n", "trial.delta",
     "ladder.n", "k.rule", "k.fixed", "k.mode", "k.factor", "k.exponent",
     "k.values", "probes.cells", "probes.count",
-    "density.kind", "density.low", "density.high", "density.center",
-    "density.radius", "density.bump_center", "density.bump_sigma",
-    "density.bump_weight",
+    "density.kind", "density.low", "density.high", "density.bump_center",
+    "density.bump_sigma", "density.bump_weight",
     "noise.kind", "noise.scale",
-    "field.kind", "field.value", "field.dim", "field.a", "field.b",
-    "field.center", "field.slope", "field.peak", "field.level",
-    "field.c_alpha", "field.alpha", "field.curvature", "field.height",
-    "field.r_m",
+    "field.kind", "field.value", "field.center", "field.slope", "field.peak",
+    "field.level", "field.c_alpha", "field.alpha", "field.curvature",
+    "field.height", "field.r_m",
     "manifold.kind", "manifold.ambient_dim", "manifold.radius",
     "manifold.rotate", "manifold.rotation_seed", "manifold.field_slope",
     "manifold.field_center_s", "manifold.field_peak",
@@ -621,6 +605,13 @@ def build_config(pairs: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError("unknown config key(s): " + ", ".join(unknown))
 
+    if "manifold.kind" in pairs:
+        # The circle carries its own density and field.
+        for key in pairs:
+            if key.startswith(("density.", "field.")):
+                raise ConfigError(f"{key}: a manifold config takes no "
+                                  "density.* or field.* keys")
+
     kind = _get(pairs, "experiment.kind", str, required=True)
     density = _spec("density", _density_from, pairs)
     field_kind = _get(pairs, "field.kind", str)
@@ -661,10 +652,6 @@ def _density_from(pairs) -> Optional[DensitySpec]:
     if kind == "uniform-box":
         return uniform_box(_get(pairs, "density.low", _floats, required=True),
                            _get(pairs, "density.high", _floats, required=True))
-    if kind == "uniform-ball":
-        return uniform_ball(
-            _get(pairs, "density.center", _floats, required=True),
-            _get(pairs, "density.radius", float, required=True))
     if kind == "truncated-mixture":
         return truncated_mixture(
             _get(pairs, "density.low", _floats, required=True),
@@ -693,23 +680,21 @@ def _manifold_from(pairs) -> Optional[ManifoldSpec]:
 
 
 def _field_params_from(pairs, field_kind, density, experiment_kind):
-    if field_kind is None:
+    # A field without a density is either on a manifold config, which
+    # build_config has rejected, or on one that ExperimentConfig rejects.
+    if field_kind is None or density is None:
         return None
-    p = {}
     if field_kind == "constant":
-        p["value"] = _get(pairs, "field.value", float, required=True)
-        dim = _get(pairs, "field.dim", int)
-        if dim is None:
-            if density is None:
-                raise ConfigError("field.dim: required for a constant field "
-                                  "without a density")
-            dim = density.dim
-        p["dim"] = dim
-    elif field_kind == "linear":
-        p["a"] = _get(pairs, "field.a", _floats, required=True)
-        p["b"] = _get(pairs, "field.b", float, default=0.0)
-    elif field_kind == "tent":
-        p["center"] = _get(pairs, "field.center", _floats, required=True)
+        return {"value": _get(pairs, "field.value", float, required=True),
+                "dim": density.dim}
+    if field_kind not in ("tent", "holder-cusp", "quadratic-peak"):
+        raise ConfigError(f"field.kind: unknown kind {field_kind!r}")
+    center = _get(pairs, "field.center", _floats, required=True)
+    if len(center) != density.dim:
+        raise ConfigError(f"field.center: has {len(center)} coordinates, "
+                          f"the density has dimension {density.dim}")
+    p = {"center": center}
+    if field_kind == "tent":
         p["slope"] = _get(pairs, "field.slope", float, required=True)
         p["peak"] = _get(pairs, "field.peak", float, default=1.0)
         level = _get(pairs, "field.level", float)
@@ -718,19 +703,15 @@ def _field_params_from(pairs, field_kind, density, experiment_kind):
         if level is not None:
             p["level"] = level
     elif field_kind == "holder-cusp":
-        p["center"] = _get(pairs, "field.center", _floats, required=True)
         p["c_alpha"] = _get(pairs, "field.c_alpha", float, required=True)
         p["alpha"] = _get(pairs, "field.alpha", float, required=True)
         p["peak"] = _get(pairs, "field.peak", float, default=1.0)
-    elif field_kind == "quadratic-peak":
-        p["center"] = _get(pairs, "field.center", _floats, required=True)
+    else:
         p["curvature"] = _get(pairs, "field.curvature", float, required=True)
         p["height"] = _get(pairs, "field.height", float, default=1.0)
         r_m = _get(pairs, "field.r_m", float)
         if r_m is not None:
             p["r_m"] = r_m
-    else:
-        raise ConfigError(f"field.kind: unknown kind {field_kind!r}")
     return p
 
 

@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import unit_ball_volume
 from .neighbors import PointSet
 from .regression import FieldMetadata, ScalarField
 
@@ -58,8 +57,6 @@ class DensitySpec:
     dim: int
     low: Optional[tuple] = None
     high: Optional[tuple] = None
-    center: Optional[tuple] = None
-    radius: Optional[float] = None
     bump_center: Optional[tuple] = None
     bump_sigma: Optional[float] = None
     bump_weight: Optional[float] = None
@@ -83,19 +80,6 @@ def uniform_box(low, high) -> DensitySpec:
     return DensitySpec(kind="uniform-box", dim=d, low=low, high=high,
                        p0=1.0 / vol, gamma=2.0 ** -d,
                        r0=float(sides.min()) / 2.0)
-
-
-def uniform_ball(center, radius: float) -> DensitySpec:
-    """Uniform on a closed ball.  A half-radius interior ball sits inside
-    any boundary intersection, giving gamma = 2^-D with r0 = radius."""
-    center = tuple(np.atleast_1d(np.asarray(center, dtype=np.float64)))
-    radius = float(radius)
-    if not 0.0 < radius < math.inf:
-        raise ValueError("radius: must be positive and finite")
-    d = len(center)
-    vol = unit_ball_volume(d) * radius ** d
-    return DensitySpec(kind="uniform-ball", dim=d, center=center, radius=radius,
-                       p0=1.0 / vol, gamma=2.0 ** -d, r0=radius)
 
 
 def truncated_mixture(low, high, bump_center, bump_sigma: float,
@@ -122,9 +106,6 @@ def support_box(spec: DensitySpec) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned bounding box of the support."""
     if spec.kind in ("uniform-box", "truncated-mixture"):
         return np.asarray(spec.low), np.asarray(spec.high)
-    if spec.kind == "uniform-ball":
-        c = np.asarray(spec.center)
-        return c - spec.radius, c + spec.radius
     raise ValueError(f"unknown density kind {spec.kind!r}")
 
 
@@ -133,18 +114,10 @@ def sample_points(spec: DensitySpec, n: int, seed) -> PointSet:
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
+    lo, hi = support_box(spec)
     rng = _rng(seed)
-    if spec.kind == "uniform-box":
-        lo, hi = np.asarray(spec.low), np.asarray(spec.high)
-        pts = lo + (hi - lo) * rng.random((n, spec.dim))
-    elif spec.kind == "uniform-ball":
-        z = rng.standard_normal((n, spec.dim))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        r = spec.radius * rng.random(n) ** (1.0 / spec.dim)
-        pts = np.asarray(spec.center) + z * r[:, None]
-    elif spec.kind == "truncated-mixture":
-        lo, hi = np.asarray(spec.low), np.asarray(spec.high)
-        pts = lo + (hi - lo) * rng.random((n, spec.dim))
+    pts = lo + (hi - lo) * rng.random((n, spec.dim))
+    if spec.kind == "truncated-mixture":
         from_bump = rng.random(n) < spec.bump_weight
         m = int(from_bump.sum())
         if m:
@@ -157,8 +130,6 @@ def sample_points(spec: DensitySpec, n: int, seed) -> PointSet:
                 draws[bad] = redraw
                 bad = ~((draws >= lo) & (draws <= hi)).all(axis=1)
             pts[from_bump] = draws
-    else:
-        raise ValueError(f"unknown density kind {spec.kind!r}")
     return PointSet(pts)
 
 
@@ -168,15 +139,14 @@ def sample_points(spec: DensitySpec, n: int, seed) -> PointSet:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Mean-zero noise with a declared (possibly conservative) sub-Gaussian
-    parameter: sigma = scale for gaussian; for bounded kinds the half-width
-    is a valid parameter by Hoeffding's lemma."""
+    """Mean-zero noise with a declared sub-Gaussian parameter: sigma =
+    scale for gaussian, 0 for none."""
 
-    kind: str  # gaussian | uniform-bounded | rademacher | none
+    kind: str  # gaussian | none
     scale: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "uniform-bounded", "rademacher", "none"):
+        if self.kind not in ("gaussian", "none"):
             raise ValueError(f"kind: unknown noise kind {self.kind!r}")
         if not 0.0 <= self.scale < math.inf:
             raise ValueError("scale: must be nonnegative and finite")
@@ -193,12 +163,7 @@ def sample_noise(spec: NoiseSpec, n: int, seed) -> np.ndarray:
     rng = _rng(seed)
     if spec.kind == "none":
         return np.zeros(n)
-    if spec.kind == "gaussian":
-        return spec.scale * rng.standard_normal(n)
-    if spec.kind == "uniform-bounded":
-        return rng.uniform(-spec.scale, spec.scale, n)
-    # rademacher
-    return spec.scale * (2.0 * rng.integers(0, 2, n) - 1.0)
+    return spec.scale * rng.standard_normal(n)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +178,12 @@ def make_field(kind: str, **params) -> ScalarField:
     """Construct a ground-truth field with true declared constants.
 
     constant        value, dim
-    linear          a (vector), b
     tent            center, slope, peak [, level]
     holder-cusp     center, c_alpha, alpha, peak
     quadratic-peak  center, curvature, height [, r_m]
     """
-    makers = {"constant": _constant_field, "linear": _linear_field,
-              "tent": _tent_field, "holder-cusp": _holder_cusp_field,
+    makers = {"constant": _constant_field, "tent": _tent_field,
+              "holder-cusp": _holder_cusp_field,
               "quadratic-peak": _quadratic_peak_field}
     if kind not in makers:
         raise ValueError(f"unknown field kind {kind!r}; "
@@ -233,16 +197,6 @@ def _constant_field(value: float, dim: int) -> ScalarField:
         dim=int(dim),
         fn=lambda X: np.full(X.shape[0], value),
         metadata=FieldMetadata(alpha=1.0, c_alpha=0.0))
-
-
-def _linear_field(a, b: float = 0.0) -> ScalarField:
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    b = float(b)
-    c = float(np.linalg.norm(a))
-    return ScalarField(
-        dim=a.shape[0],
-        fn=lambda X: X @ a + b,
-        metadata=FieldMetadata(alpha=1.0, c_alpha=c))
 
 
 def _tent_field(center, slope: float, peak: float = 1.0,
@@ -293,11 +247,14 @@ def _quadratic_peak_field(center, curvature: float, height: float = 1.0,
     q, h = float(curvature), float(height)
     if not 0.0 < q < math.inf:
         raise ValueError("curvature: must be positive and finite")
+    if r_m is not None:
+        r_m = float(r_m)
+        if not 0.0 < r_m < math.inf:
+            raise ValueError("r_m: must be positive and finite")
     return ScalarField(
         dim=center.shape[0],
         fn=lambda X: h - q * _radial_dist(X, center) ** 2,
-        metadata=FieldMetadata(argmax=center, c_low=q, c_high=q,
-                               r_m=float(r_m) if r_m is not None else None))
+        metadata=FieldMetadata(argmax=center, c_low=q, c_high=q, r_m=r_m))
 
 
 # ---------------------------------------------------------------------------
@@ -432,24 +389,6 @@ def uniform_grid(low, high, cells: int) -> tuple[PointSet, float]:
     pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
     spacing = float(((hi - lo) / cells).max())
     return PointSet(pts), spacing
-
-
-def ball_halton(center, radius: float, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy cloud of `count` points in a closed
-    ball: unscrambled Halton draws (first point skipped), mapped to
-    directions through the normal quantile and to radii by the D-th root."""
-    from scipy.stats import norm, qmc
-
-    c = np.atleast_1d(np.asarray(center, dtype=np.float64))
-    d = c.shape[0]
-    u = qmc.Halton(d=d + 1, scramble=False).random(count + 1)[1:]
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    z = norm.ppf(u[:, :d])
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    z = np.where(norms > 0.0, z / np.where(norms > 0.0, norms, 1.0), 0.0)
-    z[(norms == 0.0).reshape(-1), 0] = 1.0  # degenerate row: pick an axis
-    r = radius * u[:, d] ** (1.0 / d)
-    return c + z * r[:, None]
 
 
 def halton_probes(low, high, count: int) -> PointSet:

@@ -39,9 +39,10 @@ def config_path(tmp_path):
 BAD_VALUES = [pytest.param(*case, id=case[2]) for case in [
     ("probes.cells = 64", "probes.cells = 0", "probes.cells"),
     ("density.high = 1.0", "density.high = -1.0", "density.high"),
-    ("density.kind = uniform-box\ndensity.low = 0.0\ndensity.high = 1.0",
-     "density.kind = uniform-ball\ndensity.center = 0.5\n"
-     "density.radius = -1", "density.radius"),
+    ("density.kind = uniform-box",
+     "density.kind = truncated-mixture\ndensity.bump_center = 0.5\n"
+     "density.bump_sigma = 0.1\ndensity.bump_weight = 1.5",
+     "density.bump_weight"),
     ("field.slope = 2.0", "field.slope = -2", "field.slope"),
     ("field.kind = tent\nfield.center = 0.5\nfield.slope = 2.0",
      "field.kind = holder-cusp\nfield.center = 0.5\n"
@@ -52,6 +53,18 @@ BAD_VALUES = [pytest.param(*case, id=case[2]) for case in [
     ("k.exponent = 0.6667", "k.exponent = 0.6667\nk.factor = nan",
      "k.factor"),
     ("k.rule = power", "k.rule = optimal\nk.mode = bogus", "k.mode"),
+    # A center with more coordinates than the density would broadcast
+    # against the points and measure some other field.
+    ("field.center = 0.5", "field.center = 0.5, 0.5, 0.5", "field.center"),
+    ("field.peak = 1.0", "field.peak = 1.0\nlevel.m2 = -1", "level.m2"),
+    ("field.kind = tent\nfield.center = 0.5\nfield.slope = 2.0",
+     "field.kind = quadratic-peak\nfield.center = 0.5\n"
+     "field.curvature = 1.5\nfield.r_m = -0.5", "field.r_m"),
+    # The circle brings its own density and field.
+    ("probes.cells = 64", "probes.cells = 64\nmanifold.kind = circle\n"
+     "manifold.ambient_dim = 4", "density.kind"),
+    ("density.kind = uniform-box\ndensity.low = 0.0\ndensity.high = 1.0",
+     "manifold.kind = circle\nmanifold.ambient_dim = 4", "field.kind"),
 ]]
 
 

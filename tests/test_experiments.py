@@ -55,12 +55,14 @@ class TestConfigParsing:
 
     # After a made-up key, the keys a config would use to shape a curve
     # other than the circle, override constants the generators declare,
-    # fix the level-set margin or repeat --out.
+    # fix the level-set margin, repeat --out, shape a ball or a linear
+    # field, or give a constant field its own dimension.
     @pytest.mark.parametrize("key", [
         "density.sides", "manifold.tube_radius", "manifold.winding",
         "manifold.theta0", "manifold.theta1", "manifold.pitch",
         "bounds.gamma", "bounds.p0", "bounds.r0", "bounds.sigma",
-        "level.epsilon_override", "output.path"])
+        "level.epsilon_override", "output.path", "density.center",
+        "density.radius", "field.a", "field.b", "field.dim"])
     def test_unknown_key_named(self, key):
         with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
             build_config(base_pairs(**{key: "1"}))
@@ -82,6 +84,13 @@ class TestConfigParsing:
     def test_unknown_density_kind(self):
         with pytest.raises(ConfigError, match="density.kind"):
             build_config(base_pairs(**{"density.kind": "power-law"}))
+
+    @pytest.mark.parametrize("key, kind", [
+        ("density.kind", "uniform-ball"), ("field.kind", "linear"),
+        ("noise.kind", "rademacher"), ("noise.kind", "uniform-bounded")])
+    def test_unused_kinds_rejected(self, key, kind):
+        with pytest.raises(ConfigError, match=f"^{key}: .*{kind}"):
+            build_config(base_pairs(**{key: kind}))
 
     def test_only_the_circle_manifold(self):
         with pytest.raises(ConfigError, match="^manifold.kind: .*torus-curve"):
@@ -324,14 +333,6 @@ class TestProbes:
         assert probes.n == 101
         assert h == pytest.approx(0.01)
 
-    def test_ball_probe_filter_2d(self):
-        cfg = build_config(base_pairs(**{
-            "density.kind": "uniform-ball", "density.center": "0, 0",
-            "density.radius": "1.0", "probes.cells": "40",
-            "field.center": "0, 0"}))
-        probes, _ = probe_set(cfg)
-        assert (np.linalg.norm(probes.points, axis=1) <= 1.0 + 1e-12).all()
-
     def test_halton_probe_high_dim(self):
         cfg = build_config(base_pairs(**{
             "density.kind": "uniform-box", "density.low": "0, 0, 0",
@@ -342,12 +343,14 @@ class TestProbes:
         assert ((probes.points >= 0) & (probes.points <= 1)).all()
 
     @pytest.mark.parametrize("over, key", [
-        ({"probes.cells": "100000",
-          "density.low": "0, 0", "density.high": "1, 1"}, "probes.cells"),
+        ({"probes.cells": "100000", "density.low": "0, 0",
+          "density.high": "1, 1", "field.center": "0.5, 0.5"},
+         "probes.cells"),
         ({"probes.cells": "4194304"}, "probes.cells"),
         ({"experiment.kind": "levelset", "level.lambda": "0.5",
           "probes.cells": "512", "density.low": "0, 0, 0",
-          "density.high": "1, 1, 1"}, "probes.cells"),
+          "density.high": "1, 1, 1", "field.center": "0.5, 0.5, 0.5"},
+         "probes.cells"),
         ({"probes.count": "4194305"}, "probes.count"),
         ({"manifold.kind": "circle", "manifold.ambient_dim": "4",
           "manifold.radius": "0.1592", "probes.cells": "4194304"},
@@ -355,7 +358,8 @@ class TestProbes:
     def test_oversized_probe_sets_rejected(self, over, key):
         pairs = base_pairs(**over)
         if "manifold.kind" in over:
-            for name in [n for n in pairs if n.startswith("density.")]:
+            for name in [n for n in pairs
+                         if n.startswith(("density.", "field."))]:
                 del pairs[name]
         with pytest.raises(ConfigError, match=f"^{key}: .* over the budget"):
             build_config(pairs)
@@ -365,7 +369,8 @@ class TestProbes:
         ({"experiment.kind": "setcount", "k.values": "1, 0"}, "k.values"),
         ({"probes.cells": "0"}, "probes.cells"),
         ({"probes.count": "0", "density.low": "0, 0, 0",
-          "density.high": "1, 1, 1"}, "probes.count")])
+          "density.high": "1, 1, 1", "field.center": "0.5, 0.5, 0.5"},
+         "probes.count")])
     def test_values_below_one_rejected(self, over, key):
         with pytest.raises(ConfigError, match=f"^{key}: .*must be >= 1"):
             build_config(base_pairs(**over))
@@ -374,11 +379,13 @@ class TestProbes:
         # 2048^2 grid points is exactly the budget; a Halton box ignores
         # the grid setting.
         build_config(base_pairs(**{"probes.cells": "2047", "density.low": "0, 0",
-                                   "density.high": "1, 1"}))
+                                   "density.high": "1, 1",
+                                   "field.center": "0.5, 0.5"}))
         build_config(base_pairs(**{"probes.cells": "100000",
                                    "probes.count": "4194304",
                                    "density.low": "0, 0, 0",
-                                   "density.high": "1, 1, 1"}))
+                                   "density.high": "1, 1, 1",
+                                   "field.center": "0.5, 0.5, 0.5"}))
 
     def test_manifold_probe(self):
         cfg = build_config({
@@ -413,14 +420,16 @@ class TestBoundParamsFor:
 # One tiny inline config per runner path; any change to the emitted bytes
 # of any kind shows here.  The digests are those of correctly rounded
 # neighbor means, which are unique: the levelset, maxima and setcount ones
-# date from before the runners came to share one trial loop, and the
-# other three moved when the means stopped depending on summation order.
+# date from before the runners came to share one trial loop, the manifold
+# and coverage ones moved when the means stopped depending on summation
+# order, and the 3-D box (the Halton probe path) was first taken after
+# that.
 GOLDEN_CONFIGS = {
-    "regression-ball-3d": (base_pairs(**{
-        "density.kind": "uniform-ball", "density.center": "0, 0, 0",
-        "density.radius": "1.0", "field.center": "0, 0, 0",
-        "probes.count": "128", "ladder.n": "64, 128"}),
-        "f10507e785f6c58b48eb6385708d1ef3972f96e0158c691985a5982b527e6b81"),
+    "regression-box-3d": (base_pairs(**{
+        "density.low": "0, 0, 0", "density.high": "1, 1, 1",
+        "field.center": "0.5, 0.5, 0.5", "probes.count": "128",
+        "ladder.n": "64, 128"}),
+        "345ca3256a84827f7e84db362cd82667a5a0d3e75da4f04f9920ca6b61415588"),
     "manifold": ({
         "experiment.kind": "regression", "seed.master": "5",
         "ladder.n": "64, 128", "trial.seeds_per_n": "2",

@@ -8,8 +8,8 @@ from knnrates import (Dataset, PointCloud, PointSet, brute_force_knn,
                       cloud_from_level_set, count_distinct_knn_sets,
                       estimate_level_set, estimate_maxima, hausdorff_distance,
                       hausdorff_distance_bruteforce, knn_set_count_bound,
-                      make_field, make_regressor, true_level_set_grid,
-                      uniform_grid)
+                      make_field, make_regressor, ScalarField,
+                      true_level_set_grid, uniform_grid)
 
 
 def data1d(xs, ys):
@@ -71,19 +71,19 @@ class TestLevelSet:
 
 class TestTrueLevelSetGrid:
     def test_hand_case(self):
-        fld = make_field("linear", a=(1.0,), b=0.0)
+        fld = ScalarField(dim=1, fn=lambda X: X[:, 0])
         grid, _ = uniform_grid((0.0,), (1.0,), 10)
         truth = true_level_set_grid(fld, 0.5, grid)
         assert truth.size == 6  # 0.5 .. 1.0 inclusive
         assert np.array_equal(truth.points, grid.points[5:])
 
     def test_level_below_min_takes_whole_grid(self):
-        fld = make_field("linear", a=(1.0,), b=0.0)
+        fld = ScalarField(dim=1, fn=lambda X: X[:, 0])
         grid, _ = uniform_grid((0.0,), (1.0,), 16)
         assert true_level_set_grid(fld, -5.0, grid).size == 17
 
     def test_level_above_max_gives_empty_cloud(self):
-        fld = make_field("linear", a=(1.0,), b=0.0)
+        fld = ScalarField(dim=1, fn=lambda X: X[:, 0])
         grid, _ = uniform_grid((0.0,), (1.0,), 16)
         truth = true_level_set_grid(fld, 2.0, grid)
         assert truth.size == 0
