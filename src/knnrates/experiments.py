@@ -515,16 +515,30 @@ def read_records(path) -> list:
 # config file format
 
 
+# The keys each density and field kind reads, besides its `kind`.  A key
+# of the section that its kind does not read is rejected, not dropped.
+_DENSITY_KEYS = {
+    "uniform-box": {"low", "high"},
+    "truncated-mixture": {"low", "high", "bump_center", "bump_sigma",
+                          "bump_weight"},
+}
+_FIELD_KEYS = {
+    "constant": {"value"},
+    "tent": {"center", "slope", "peak", "level"},
+    "holder-cusp": {"center", "c_alpha", "alpha", "peak"},
+    "quadratic-peak": {"center", "curvature", "height", "r_m"},
+}
+
+
 _KNOWN_KEYS = {
     "experiment.kind", "seed.master", "trial.seeds_per_n", "trial.delta",
     "ladder.n", "k.rule", "k.fixed", "k.mode", "k.factor", "k.exponent",
     "k.values", "probes.cells", "probes.count",
-    "density.kind", "density.low", "density.high", "density.bump_center",
-    "density.bump_sigma", "density.bump_weight",
+    "density.kind", *(f"density.{name}" for names in _DENSITY_KEYS.values()
+                      for name in names),
     "noise.kind", "noise.scale",
-    "field.kind", "field.value", "field.center", "field.slope", "field.peak",
-    "field.level", "field.c_alpha", "field.alpha", "field.curvature",
-    "field.height", "field.r_m",
+    "field.kind", *(f"field.{name}" for names in _FIELD_KEYS.values()
+                    for name in names),
     "manifold.kind", "manifold.ambient_dim", "manifold.radius",
     "manifold.rotate", "manifold.rotation_seed", "manifold.field_slope",
     "manifold.field_center_s", "manifold.field_peak",
@@ -645,21 +659,31 @@ def build_config(pairs: dict) -> ExperimentConfig:
     return cfg
 
 
+def _check_section(pairs, section: str, kind: str, table) -> None:
+    """Raise a ConfigError naming the first `section.*` key that `kind`
+    does not read, or `section.kind` when the kind is unknown."""
+    if kind not in table:
+        raise ConfigError(f"{section}.kind: unknown kind {kind!r}")
+    for key in pairs:
+        prefix, _, name = key.partition(".")
+        if prefix == section and name != "kind" and name not in table[kind]:
+            raise ConfigError(f"{key}: a {kind} {section} takes no such key")
+
+
 def _density_from(pairs) -> Optional[DensitySpec]:
     kind = _get(pairs, "density.kind", str)
     if kind is None:
         return None
+    _check_section(pairs, "density", kind, _DENSITY_KEYS)
     if kind == "uniform-box":
         return uniform_box(_get(pairs, "density.low", _floats, required=True),
                            _get(pairs, "density.high", _floats, required=True))
-    if kind == "truncated-mixture":
-        return truncated_mixture(
-            _get(pairs, "density.low", _floats, required=True),
-            _get(pairs, "density.high", _floats, required=True),
-            _get(pairs, "density.bump_center", _floats, required=True),
-            _get(pairs, "density.bump_sigma", float, required=True),
-            _get(pairs, "density.bump_weight", float, required=True))
-    raise ConfigError(f"density.kind: unknown kind {kind!r}")
+    return truncated_mixture(
+        _get(pairs, "density.low", _floats, required=True),
+        _get(pairs, "density.high", _floats, required=True),
+        _get(pairs, "density.bump_center", _floats, required=True),
+        _get(pairs, "density.bump_sigma", float, required=True),
+        _get(pairs, "density.bump_weight", float, required=True))
 
 
 def _manifold_from(pairs) -> Optional[ManifoldSpec]:
@@ -684,11 +708,10 @@ def _field_params_from(pairs, field_kind, density, experiment_kind):
     # build_config has rejected, or on one that ExperimentConfig rejects.
     if field_kind is None or density is None:
         return None
+    _check_section(pairs, "field", field_kind, _FIELD_KEYS)
     if field_kind == "constant":
         return {"value": _get(pairs, "field.value", float, required=True),
                 "dim": density.dim}
-    if field_kind not in ("tent", "holder-cusp", "quadratic-peak"):
-        raise ConfigError(f"field.kind: unknown kind {field_kind!r}")
     center = _get(pairs, "field.center", _floats, required=True)
     if len(center) != density.dim:
         raise ConfigError(f"field.center: has {len(center)} coordinates, "

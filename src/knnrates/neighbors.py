@@ -10,17 +10,17 @@ squared-distance arithmetic and exact float comparisons (no epsilon), so
 their answers agree bit for bit.
 
 In D = 1 the index is the stable sorted order of the coordinate and holds
-no tree.  The neighbor set of a query is a contiguous run of that order: a
-binary search finds the query's k-point window, which is the whole set
-when both points just outside it are strictly farther than its farther end
-(an exact test), and otherwise two more binary searches widen it over the
-tied runs at both ends.  Scalar and batch queries run the same searches,
-so every row, a row whose squared distances overflow included, gets the
-oracle's answer.
+no tree, so no 1-D path loads scipy.  The neighbor set of a query is a
+contiguous run of that order: a binary search finds the query's k-point
+window, which is the whole set when both points just outside it are
+strictly farther than its farther end (an exact test), and otherwise two
+more binary searches widen it over the tied runs at both ends.  Scalar
+and batch queries run the same searches, so every row, a row whose
+squared distances overflow included, gets the oracle's answer.
 
-In D >= 2 the index is a kd-tree, used only to produce candidate
-supersets; the final radius and member set always come from the shared
-arithmetic.  Batch queries (`knn_radii`, and `predict_batch` in the
+In D >= 2 the index is a scipy kd-tree, imported when the first one is
+built, and used only to produce candidate supersets; the final radius and
+member set always come from the shared arithmetic.  Batch queries (`knn_radii`, and `predict_batch` in the
 regression module) run one chunked kernel that takes a k+1 tree query per
 chunk; rows with a clear gap after the k-th neighbor are settled from it,
 and the rows that tie there are settled together, grouped by the size of
@@ -38,10 +38,12 @@ prefix sums over the sorted order, so no row is gathered or sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # Candidate windows from the kd-tree are widened by this relative slack
 # before exact refinement.  The tree's internal distance sums and ours can
@@ -60,10 +62,14 @@ _TAIL_CAP = 8
 # memory of a batch call.
 _TIE_ENTRIES = 2 ** 14
 
-# Tree-query entries (rows x (k+1)) per batch chunk.  A chunk peaks near
-# 32 bytes per entry (tree distances and indices plus the reductions'
+# Tree-query entries (rows x (k+1)) per D >= 2 batch chunk.  A chunk peaks
+# near 32 bytes per entry (tree distances and indices plus the reductions'
 # temporaries), so a batch call stays near 32 MiB whatever k is.
 _CHUNK_ENTRIES = 2 ** 20
+
+# Rows per D = 1 batch chunk.  A window row holds a few scalars whatever k
+# is, so the chunk is sized by rows alone.
+_CHUNK_ROWS_1D = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -109,14 +115,16 @@ class NeighborSet:
 class SpatialIndex:
     """Immutable query structure over a PointSet; safe for concurrent reads.
 
-    In D = 1 it holds only the stable argsort of the coordinate, which every
-    query searches for its neighbor window, and `_tree` is None.  In
-    D >= 2 it holds the kd-tree and `_order` is None.
+    In D = 1 it holds the stable argsort of the coordinate and the
+    coordinate in that order, which every query searches for its neighbor
+    window, and `_tree` is None.  In D >= 2 it holds the kd-tree and
+    `_order` and `_xs` are None.
     """
 
     source: PointSet
     _tree: Optional[cKDTree] = field(repr=False)
     _order: Optional[np.ndarray] = field(default=None, repr=False)
+    _xs: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def as_point_set(points) -> PointSet:
@@ -159,8 +167,13 @@ def build_index(points) -> SpatialIndex:
     ps = as_point_set(points)
     if ps.dim == 1:
         order = np.argsort(ps.points[:, 0], kind="stable")
+        xs = ps.points[order, 0]
         order.setflags(write=False)
-        return SpatialIndex(source=ps, _tree=None, _order=order)
+        xs.setflags(write=False)
+        return SpatialIndex(source=ps, _tree=None, _order=order, _xs=xs)
+    # scipy loads here, so that importing the package and every 1-D path
+    # run without it.
+    from scipy.spatial import cKDTree
     return SpatialIndex(source=ps, _tree=cKDTree(ps.points))
 
 
@@ -186,9 +199,8 @@ def knn_query(index: SpatialIndex, query, k: int) -> NeighborSet:
     ps = index.source
     q = _check_query(query, ps.dim)
     k = _check_k(k, ps.n)
-    order = index._order
+    order, xs = index._order, index._xs
     if order is not None:
-        xs = ps.points[order, 0]
         a, r2, _ = _windows(xs, q, k)
         lo, hi = _widen(xs, q, r2, a, k)
         r2, members = r2[0], np.sort(order[lo[0]:hi[0]])
@@ -394,8 +406,9 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     k-th distance are settled together by _tied_rows, and only rows whose
     tree k-th distance is not finite (it bounds no candidate set) take
     knn_query.  Every mean is the correctly rounded one (_means), and every
-    row gets the bits of a scalar loop.  A chunk holds _CHUNK_ENTRIES
-    entries of k+1, or one row when k+1 alone exceeds that.
+    row gets the bits of a scalar loop.  A D = 1 chunk holds _CHUNK_ROWS_1D
+    rows; a D >= 2 chunk holds _CHUNK_ENTRIES entries of k+1, or one row
+    when k+1 alone exceeds that.
     """
     ps = index.source
     Q = np.asarray(queries, dtype=np.float64)
@@ -407,11 +420,10 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
         raise ValueError("query contains non-finite coordinates")
     k = _check_k(k, ps.n)
     out = np.empty(Q.shape[0], dtype=np.float64)
-    rows = max(1, _CHUNK_ENTRIES // (k + 1))
     limbs = None
-    order = index._order
+    order, xs = index._order, index._xs
     if order is not None:
-        xs = ps.points[order, 0]
+        rows = _CHUNK_ROWS_1D
         if y is not None:
             # A permutation keeps the limbs' scale, so take the limbs of y
             # in sorted order and keep only their prefix sums.
@@ -419,9 +431,11 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
             prefix = np.zeros((parts.shape[0], ps.n + 1), dtype=np.int64)
             np.cumsum(parts, axis=1, out=prefix[:, 1:])
             del parts
-    elif y is not None:
-        limbs = _limbs(y)
-        parts, bits, e = limbs
+    else:
+        rows = max(1, _CHUNK_ENTRIES // (k + 1))
+        if y is not None:
+            limbs = _limbs(y)
+            parts, bits, e = limbs
     for lo in range(0, Q.shape[0], rows):
         qc = Q[lo:lo + rows]
         block = out[lo:lo + rows]

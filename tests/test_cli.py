@@ -57,9 +57,15 @@ BAD_VALUES = [pytest.param(*case, id=case[2]) for case in [
     # against the points and measure some other field.
     ("field.center = 0.5", "field.center = 0.5, 0.5, 0.5", "field.center"),
     ("field.peak = 1.0", "field.peak = 1.0\nlevel.m2 = -1", "level.m2"),
-    ("field.kind = tent\nfield.center = 0.5\nfield.slope = 2.0",
+    ("field.kind = tent\nfield.center = 0.5\nfield.slope = 2.0\n"
+     "field.peak = 1.0",
      "field.kind = quadratic-peak\nfield.center = 0.5\n"
      "field.curvature = 1.5\nfield.r_m = -0.5", "field.r_m"),
+    # A key that the chosen kind does not read is rejected, not dropped.
+    ("field.peak = 1.0", "field.peak = 1.0\nfield.curvature = 1.5",
+     "field.curvature"),
+    ("density.high = 1.0", "density.high = 1.0\ndensity.bump_sigma = 0.1",
+     "density.bump_sigma"),
     # The circle brings its own density and field.
     ("probes.cells = 64", "probes.cells = 64\nmanifold.kind = circle\n"
      "manifold.ambient_dim = 4", "density.kind"),
@@ -300,6 +306,64 @@ class TestRunAllScript:
                             ["run_all.py", "--outdir", str(tmp_path / "out")])
         assert mod.main() == 0
         assert (tmp_path / "out" / "tiny.csv").exists()
+
+
+class TestScipyOnlyForTrees:
+    """A fresh interpreter, since pytest's may already hold scipy: the
+    package and a 1-D study load no scipy module, and the first D >= 2
+    index loads it and answers as the oracle does."""
+
+    SCRIPT = """\
+import sys
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+
+import knnrates
+from knnrates.cli import cli_main
+
+assert not scipy_modules(), scipy_modules()
+assert cli_main(["levelset", "--config", sys.argv[1], "--out", sys.argv[2],
+                 "--quiet"]) == 0
+assert not scipy_modules(), scipy_modules()
+
+import numpy as np
+
+X = np.random.default_rng(3).integers(0, 6, size=(200, 2)).astype(float)
+index = knnrates.build_index(X)
+assert "scipy.spatial" in scipy_modules()
+for q in np.vstack([X[:20], [[2.5, 2.5], [-1.0, 7.0]]]):
+    ns = knnrates.knn_query(index, q, 7)
+    oracle = knnrates.brute_force_knn(X, q, 7)
+    assert ns.radius == oracle.radius
+    assert np.array_equal(ns.member_indices, oracle.member_indices)
+"""
+
+    def test_fresh_interpreter(self, tmp_path):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import knnrates
+
+        cfg = tmp_path / "levelset.cfg"
+        cfg.write_text(CONFIG.replace("experiment.kind = regression",
+                                      "experiment.kind = levelset")
+                       .replace("ladder.n = 32, 64, 128, 256", "ladder.n = 512")
+                       .replace("trial.seeds_per_n = 2", "trial.seeds_per_n = 1")
+                       + "level.lambda = 0.5\nlevel.m2 = 0.7\n")
+        src = str(pathlib.Path(knnrates.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "levelset.csv"
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(cfg),
+                               str(out)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 2  # header + one trial
 
 
 class TestCoverageCommand:

@@ -35,6 +35,12 @@ def base_pairs(**over):
         "field.slope": "2.0",
         "field.peak": "1.0",
     }
+    # A kind rejects the keys it does not read, so overriding the field or
+    # density kind drops the base's keys of that section.
+    for section in ("density", "field"):
+        if f"{section}.kind" in over:
+            pairs = {key: value for key, value in pairs.items()
+                     if not key.startswith(section + ".")}
     pairs.update(over)
     return pairs
 

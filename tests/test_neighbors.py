@@ -180,6 +180,20 @@ class TestBatchRadii:
 
 
 class TestBatchMemory:
+    def test_scalar_1d_query_copies_no_coordinates(self):
+        import tracemalloc
+
+        n = 2 ** 16
+        idx = build_index(np.random.default_rng(31).random((n, 1)))
+        tracemalloc.start()
+        try:
+            ns = knn_query(idx, [0.5], 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ns.count == 8
+        # A copy of the n sorted coordinates alone would take n * 8 bytes.
+        assert peak < n
     @pytest.mark.parametrize("k", [4095, 4096])
     def test_large_k_peak_bounded(self, k):
         import tracemalloc

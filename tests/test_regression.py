@@ -176,10 +176,14 @@ class TestBatchAgreement1D:
             assert np.array_equal(ns.member_indices, oracle.member_indices)
 
     def test_builds_no_kd_tree(self, monkeypatch):
+        import scipy.spatial
+
         def no_tree(*args, **kwargs):
             raise AssertionError("cKDTree built for 1-D points")
 
-        monkeypatch.setattr(neighbors, "cKDTree", no_tree)
+        # build_index imports cKDTree when it builds a tree, so it reads
+        # the patched attribute.
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
         rng = np.random.default_rng(37)
         X = rng.random((500, 1))
         Q = np.vstack([X[:150], rng.uniform(-0.5, 1.5, (150, 1))])
@@ -198,6 +202,20 @@ class TestBatchAgreement1D:
                                       oracle.member_indices)
         a, b = PointCloud(1, X), PointCloud(1, Q)
         assert hausdorff_distance(a, b) == hausdorff_distance_bruteforce(a, b)
+
+    def test_chunks_equal_scalar_bitwise(self, monkeypatch):
+        # Chunks of 7 rows: the 200 queries span 29 chunks, the last one
+        # short, and tied rows fall in several of them.
+        monkeypatch.setattr(neighbors, "_CHUNK_ROWS_1D", 7)
+        rng = np.random.default_rng(41)
+        X = rng.integers(0, 40, size=(300, 1)).astype(float)
+        Q = np.vstack([X[:100], rng.uniform(-5.0, 45.0, (100, 1))])
+        reg = make_regressor(Dataset(PointSet(X), rng.standard_normal(300)), 9)
+        assert np.array_equal(bits(predict_batch(reg, Q)),
+                              bits([predict(reg, q) for q in Q]))
+        assert np.array_equal(bits(knn_radii(reg.index, Q, 9)),
+                              bits([knn_query(reg.index, q, 9).radius
+                                    for q in Q]))
 
     def test_overflow_gets_the_oracle_answer(self):
         # Scaled by 2**600 most squared distances overflow to inf.  A row
