@@ -133,9 +133,10 @@ def cli_main(argv=None) -> int:
         else:
             write_records(args.out, records)
         if not args.quiet:
-            # A trial may write several records (coverage writes two),
-            # each carrying the trial's time: count each trial once.
-            trial_ms = {(r.n, r.k, r.seed): r.ms for r in records}
+            # A trial may write several records (coverage writes two, a
+            # setcount trial one per k), each carrying the trial's time:
+            # count each trial once.
+            trial_ms = {(r.n, r.seed): r.ms for r in records}
             total_ms = sum(trial_ms.values())
             print(f"{args.command}: {len(records)} records in ~{total_ms} ms",
                   file=sys.stderr)

@@ -435,15 +435,18 @@ def run_setcount(cfg: ExperimentConfig) -> list:
             x = sample_points(cfg.density, n,
                               stream_seed(cfg.master_seed, n, s, "points"))
             data = Dataset(x=x, y=np.zeros(n))
-            for k in cfg.k_values:
-                if k > n:
-                    continue
-                t0 = time.perf_counter()
-                count = count_distinct_knn_sets(data, k, probes)
-                ms = int(round(1000.0 * (time.perf_counter() - t0)))
-                records.append(ExperimentRecord(cfg.kind, n, int(k), s,
-                                                "set_count", float(count),
-                                                cap, k <= n, ms))
+            ks = [k for k in cfg.k_values if k <= n]
+            if not ks:
+                continue
+            # One trial counts every k from one distance block, so each of
+            # its records carries the trial's time.
+            t0 = time.perf_counter()
+            counts = count_distinct_knn_sets(data, ks, probes)
+            ms = int(round(1000.0 * (time.perf_counter() - t0)))
+            records.extend(ExperimentRecord(cfg.kind, n, int(k), s,
+                                            "set_count", float(count), cap,
+                                            True, ms)
+                           for k, count in zip(ks, counts))
     return records
 
 
@@ -653,7 +656,13 @@ def build_config(pairs: dict) -> ExperimentConfig:
         level_lambda=_get(pairs, "level.lambda", float),
         m2=_get(pairs, "level.m2", float),
     )
-    if cfg.kind != "setcount":
+    if cfg.kind == "setcount":
+        # The counter reads only the points, so a field would go unchecked.
+        for key in pairs:
+            if key.startswith("field."):
+                raise ConfigError(f"{key}: a setcount config takes no "
+                                  "field.* keys")
+    else:
         # Every other runner builds the field; a bad field value fails here.
         _spec("field", experiment_field, cfg)
     return cfg

@@ -132,15 +132,18 @@ def as_point_set(points) -> PointSet:
 
 
 def _sq_dists(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared distances from q to each row of pts.
+    """Squared distances from q to each row of pts, reduced over the last
+    (coordinate) axis.
 
+    q is one point, or a block of points that broadcasts against pts, such
+    as (rows, 1, D) queries against (n, D) points, which gives (rows, n).
     Every membership/tie decision in this package routes through this one
     function, or in D = 1 through its one-coordinate form diff * diff, so
     that the index, the oracle, and the batch paths share identical
     floating-point arithmetic.
     """
     diff = pts - q
-    return (diff * diff).sum(axis=1)
+    return (diff * diff).sum(axis=-1)
 
 
 def _check_query(q, dim: int) -> np.ndarray:
@@ -374,8 +377,7 @@ def _tied_rows(index: SpatialIndex, qs: np.ndarray, r: np.ndarray, k: int,
             sub = group[i:i + rows]
             q = qs[sub]
             cand = tree.query(q, k=m)[1].reshape(sub.size, m)
-            d2 = _sq_dists(pts[cand.reshape(-1)],
-                           np.repeat(q, m, axis=0)).reshape(sub.size, m)
+            d2 = _sq_dists(pts[cand], q[:, None, :])
             r2 = np.partition(d2, k - 1, axis=1)[:, k - 1]
             if limbs is None:
                 out[sub] = np.sqrt(r2)
@@ -460,8 +462,9 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
                 fast &= tail <= _TAIL_CAP
                 if fast.any():
                     t = int(tail[fast].max())
-                    diff = ps.points[idx[fast, k - t:k]] - qc[fast][:, None, :]
-                    block[fast] = np.sqrt((diff * diff).sum(axis=2).max(axis=1))
+                    d2 = _sq_dists(ps.points[idx[fast, k - t:k]],
+                                   qc[fast][:, None, :])
+                    block[fast] = np.sqrt(d2.max(axis=1))
             else:
                 members = idx[fast, :k]
                 block[fast] = _means(np.stack([part[members].sum(axis=1)

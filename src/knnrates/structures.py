@@ -1,6 +1,7 @@
 """Derived estimators on top of the regressor: level-set recovery with
 Hausdorff evaluation, global-maxima estimation, and the empirical
-distinct-neighbor-set counter."""
+distinct-neighbor-set counter.  The counter is a full scan that counts
+every k of a trial from one squared-distance block per probe chunk."""
 
 from __future__ import annotations
 
@@ -112,32 +113,39 @@ def estimate_maxima(reg: Regressor) -> MaximaEstimate:
                           value=float(preds[i]))
 
 
-def count_distinct_knn_sets(data: Dataset, k: int, probes) -> int:
-    """Number of distinct tie-inclusive neighbor sets seen over the probes.
+def count_distinct_knn_sets(data: Dataset, ks, probes) -> list:
+    """Number of distinct tie-inclusive neighbor sets seen over the probes,
+    one count for each k of `ks`, in order.
 
-    A lower bound on the true count over the continuum.  Full-scan
-    evaluation, intended for the modest n of the combinatorial experiments.
+    Each count is a lower bound on the true count over the continuum.
+    Full-scan evaluation, intended for the modest n of the combinatorial
+    experiments: each block of probes takes its squared distances once,
+    from _sq_dists as the oracle does, and one partition gives every k's
+    k-th distance.  Every k is checked before any counting.
     """
     ps = as_point_set(probes)
     pts = data.x.points
     if ps.dim != data.x.dim:
         raise ValueError("probe dimension does not match the dataset")
     n = data.n
-    k = int(k)
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} outside [1, n={n}]")
-    seen = set()
+    ks = [int(k) for k in ks]
+    for k in ks:
+        if not (1 <= k <= n):
+            raise ValueError(f"k={k} outside [1, n={n}]")
+    if not ks:
+        return []
+    seen = [set() for _ in ks]
     # Probes per full-scan block: the block's coordinate differences hold
     # at most _CHUNK_ENTRIES floats (one probe when n * D alone exceeds it).
     chunk = max(1, _CHUNK_ENTRIES // (n * ps.dim))
     for lo in range(0, ps.n, chunk):
-        qc = ps.points[lo:lo + chunk]
-        d2 = ((qc[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        packed = np.packbits(d2 <= kth[:, None], axis=1)
-        # Neighboring grid probes mostly share a set: hash a row only when
-        # it differs from the one before.
-        fresh = np.ones(packed.shape[0], dtype=bool)
-        fresh[1:] = (packed[1:] != packed[:-1]).any(axis=1)
-        seen.update(row.tobytes() for row in packed[fresh])
-    return len(seen)
+        d2 = _sq_dists(pts, ps.points[lo:lo + chunk, None, :])
+        kths = np.partition(d2, [k - 1 for k in ks], axis=1)
+        for k, sets in zip(ks, seen):
+            packed = np.packbits(d2 <= kths[:, k - 1, None], axis=1)
+            # Neighboring grid probes mostly share a set: hash a row only
+            # when it differs from the one before.
+            fresh = np.ones(packed.shape[0], dtype=bool)
+            fresh[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+            sets.update(row.tobytes() for row in packed[fresh])
+    return [len(sets) for sets in seen]

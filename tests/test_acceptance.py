@@ -17,8 +17,9 @@ import pytest
 from knnrates import (Dataset, PointCloud, PointSet, brute_force_knn,
                       build_index, estimate_level_set, estimate_maxima,
                       fit_rate, hausdorff_distance, knn_query, load_config_file,
-                      make_regressor, predict, run_coverage, run_levelset,
-                      run_maxima, run_regression_rate, run_setcount)
+                      make_regressor, predict, records_to_csv, run_coverage,
+                      run_levelset, run_maxima, run_regression_rate,
+                      run_setcount)
 from knnrates.cli import cli_main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -119,13 +120,23 @@ def test_ac7_maxima_rate():
            f"slope {slope:.4f} in [-0.30, -0.10], target -0.2")
 
 
+# sha256 of the canned setcount CSV, taken before the counter shared one
+# distance block between the ks of a trial.
+SETCOUNT_CSV_SHA256 = \
+    "96dff85aa78ae4d2ff06b8019a437ffea201b3098a4669ae384df5861bcb59ed"
+
+
 def test_ac8_set_count_bound():
+    import hashlib
+
     records = run_setcount(study_config("setcount.cfg"))
     violations = [(r.n, r.k, r.seed, r.value, r.bound) for r in records
                   if r.value > r.bound]
     report("AC8 distinct-set count bound", not violations,
            f"{len(records)} (n, k, seed) cases all within 2*n^2; "
            f"violations {violations}")
+    digest = hashlib.sha256(records_to_csv(records).encode("utf-8"))
+    assert digest.hexdigest() == SETCOUNT_CSV_SHA256
 
 
 def _random_cloud(rng, max_pts=12, dim=2):

@@ -281,6 +281,34 @@ class TestAllSubcommands:
         records = read_records(out)
         assert records and all(r.quantity == quantity for r in records)
 
+    # A setcount study reads no field, so any field.* key is rejected.
+    @pytest.mark.parametrize("extra, key", [
+        ("field.kind = tent\nfield.center = 0.5, 0.5\nfield.slope = -2\n",
+         "field.kind"),
+        ("field.slope = -5\n", "field.slope")], ids=["tent", "slope-only"])
+    def test_setcount_rejects_field_keys(self, tmp_path, capsys, extra, key):
+        cfg = tmp_path / "setcount.cfg"
+        cfg.write_text(SETCOUNT_CONFIG + extra)
+        assert cli_main(["setcount", "--config", str(cfg), "--quiet"]) == 1
+        assert f"{key}: a setcount config takes no field" in \
+            capsys.readouterr().err
+
+    def test_summary_counts_each_setcount_trial_once(self, tmp_path,
+                                                     monkeypatch, capsys):
+        import knnrates.cli as climod
+        from knnrates.experiments import ExperimentRecord
+
+        # Two trials of 100 and 250 ms, each written as one record per k.
+        records = [ExperimentRecord("setcount", 6, k, s, "set_count", 3.0,
+                                    72.0, True, ms)
+                   for s, ms in ((0, 100), (1, 250)) for k in (1, 3, 5)]
+        monkeypatch.setattr(climod, "run_experiment", lambda cfg: records)
+        cfg = tmp_path / "setcount.cfg"
+        cfg.write_text(SETCOUNT_CONFIG)
+        assert cli_main(["setcount", "--config", str(cfg), "--out",
+                         str(tmp_path / "setcount.csv")]) == 0
+        assert "setcount: 6 records in ~350 ms" in capsys.readouterr().err
+
     def test_manifold_subcommand_requires_manifold(self, tmp_path):
         cfg = tmp_path / "m.cfg"
         cfg.write_text(CONFIG)
@@ -310,8 +338,8 @@ class TestRunAllScript:
 
 class TestScipyOnlyForTrees:
     """A fresh interpreter, since pytest's may already hold scipy: the
-    package and a 1-D study load no scipy module, and the first D >= 2
-    index loads it and answers as the oracle does."""
+    package, a 1-D study and a 2-D setcount study load no scipy module,
+    and the first D >= 2 index loads it and answers as the oracle does."""
 
     SCRIPT = """\
 import sys
@@ -326,6 +354,10 @@ from knnrates.cli import cli_main
 
 assert not scipy_modules(), scipy_modules()
 assert cli_main(["levelset", "--config", sys.argv[1], "--out", sys.argv[2],
+                 "--quiet"]) == 0
+assert not scipy_modules(), scipy_modules()
+# The set counter is a full scan in any D: a 2-D study builds no tree.
+assert cli_main(["setcount", "--config", sys.argv[3], "--out", sys.argv[4],
                  "--quiet"]) == 0
 assert not scipy_modules(), scipy_modules()
 
@@ -359,11 +391,17 @@ for q in np.vstack([X[:20], [[2.5, 2.5], [-1.0, 7.0]]]):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "levelset.csv"
+        setcount_cfg = tmp_path / "setcount.cfg"
+        setcount_cfg.write_text(SETCOUNT_CONFIG)
+        setcount_out = tmp_path / "setcount.csv"
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(cfg),
-                               str(out)], env=env, capture_output=True,
-                              text=True, timeout=120)
+                               str(out), str(setcount_cfg),
+                               str(setcount_out)], env=env,
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 2  # header + one trial
+        # header + 3 rungs x 2 seeds x 2 ks, less k = 3 at n = 2
+        assert len(setcount_out.read_text().splitlines()) == 11
 
 
 class TestCoverageCommand:
@@ -400,3 +438,4 @@ class TestCoverageCommand:
         assert cli_main(["coverage", "--config", str(cfg), "--out",
                          str(tmp_path / "cov.csv")]) == 0
         assert "coverage: 4 records in ~800 ms" in capsys.readouterr().err
+

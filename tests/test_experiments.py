@@ -45,6 +45,13 @@ def base_pairs(**over):
     return pairs
 
 
+def setcount_pairs(**over):
+    """base_pairs for a setcount study, which takes no field.* keys."""
+    pairs = base_pairs(**{"experiment.kind": "setcount", **over})
+    return {key: value for key, value in pairs.items()
+            if not key.startswith("field.")}
+
+
 class TestConfigParsing:
     def test_comments_and_blanks(self):
         text = "# header\nexperiment.kind = regression  # trailing\n\nseed.master = 7\n"
@@ -313,16 +320,17 @@ class TestRunners:
         assert records[0].value == pytest.approx(nearest, rel=1e-12)
 
     def test_setcount_counts_below_bound(self):
-        cfg = build_config(base_pairs(**{
-            "experiment.kind": "setcount", "ladder.n": "4, 8",
-            "k.values": "1, 3", "probes.cells": "49",
+        cfg = build_config(setcount_pairs(**{
+            "ladder.n": "4, 8", "k.values": "1, 3", "probes.cells": "49",
             "density.kind": "uniform-box", "density.low": "0, 0",
-            "density.high": "1, 1", "field.kind": "constant",
-            "field.value": "0"}))
+            "density.high": "1, 1"}))
         records = run_setcount(cfg)
         assert len(records) == 8  # 2 rungs x 2 seeds x 2 ks
         for r in records:
             assert r.value <= r.bound == knn_set_count_bound(r.n, 2)
+        # Each trial counts both ks at once and carries its time in both.
+        for n, s in ((4, 0), (4, 1), (8, 0), (8, 1)):
+            assert len({r.ms for r in records if (r.n, r.seed) == (n, s)}) == 1
 
     def test_maxima_without_argmax_field_rejected(self):
         cfg = build_config(base_pairs(**{
@@ -461,11 +469,9 @@ GOLDEN_CONFIGS = {
         "field.curvature": "1.5", "field.height": "1.0",
         "field.r_m": "0.5"}),
         "8016529992ba9d43100eae0d17f3d3fbd988627427bdf7c180095cf034d42ce7"),
-    "setcount": (base_pairs(**{
-        "experiment.kind": "setcount", "ladder.n": "3, 6",
-        "k.values": "1, 2, 5", "probes.cells": "29",
-        "density.low": "0, 0", "density.high": "1, 1",
-        "field.kind": "constant", "field.value": "0"}),
+    "setcount": (setcount_pairs(**{
+        "ladder.n": "3, 6", "k.values": "1, 2, 5", "probes.cells": "29",
+        "density.low": "0, 0", "density.high": "1, 1"}),
         "c7a888954a137232fd83ffb4f301f41721a3402b479178b26350122a2ce17e22"),
 }
 

@@ -182,11 +182,18 @@ class TestMaxima:
             assert mapped.argmax_index == base.argmax_index
 
 
+def oracle_counts(points, ks, probes):
+    """Distinct brute_force_knn member sets over the probes, per k."""
+    return [len({brute_force_knn(points, q, k).member_indices.tobytes()
+                 for q in probes}) for k in ks]
+
+
 class TestSetCount:
     def test_single_point(self):
         data = data1d([0.5], [0.0])
         grid, _ = uniform_grid((0.0,), (1.0,), 50)
-        assert count_distinct_knn_sets(data, 1, grid) == 1
+        assert count_distinct_knn_sets(data, [1], grid) == [1]
+        assert count_distinct_knn_sets(data, [], grid) == []
 
     def test_three_cells_in_1d(self):
         # Voronoi cells of {0, 1, 2} at k=1 over a dense probe grid; the odd
@@ -194,20 +201,20 @@ class TestSetCount:
         # tie-inclusive set would be the union of two cells.
         data = data1d([0.0, 1.0, 2.0], [0.0] * 3)
         grid, _ = uniform_grid((-1.0,), (3.0,), 399)
-        assert count_distinct_knn_sets(data, 1, grid) == 3
+        assert count_distinct_knn_sets(data, [1], grid) == [3]
 
     def test_bisector_probe_merges_cells(self):
         data = data1d([0.0, 1.0, 2.0], [0.0] * 3)
         probes = PointSet(np.array([0.2, 0.5, 0.8]))
-        assert count_distinct_knn_sets(data, 1, probes) == 3  # {0},{0,1},{1}
+        assert count_distinct_knn_sets(data, [1], probes) == [3]  # {0},{0,1},{1}
 
     def test_nondecreasing_under_probe_refinement(self):
         rng = np.random.default_rng(7)
         data = Dataset(PointSet(rng.random((15, 2))), np.zeros(15))
         coarse, _ = uniform_grid((0.0, 0.0), (1.0, 1.0), 20)
         fine, _ = uniform_grid((0.0, 0.0), (1.0, 1.0), 40)
-        c1 = count_distinct_knn_sets(data, 3, coarse)
-        c2 = count_distinct_knn_sets(data, 3, fine)
+        [c1] = count_distinct_knn_sets(data, [3], coarse)
+        [c2] = count_distinct_knn_sets(data, [3], fine)
         assert c1 <= c2
 
     def test_never_exceeds_bound(self):
@@ -215,11 +222,53 @@ class TestSetCount:
         for n in (2, 5, 9):
             data = Dataset(PointSet(rng.random((n, 2))), np.zeros(n))
             grid, _ = uniform_grid((0.0, 0.0), (1.0, 1.0), 60)
-            for k in (1, 2):
-                if k > n:
-                    continue
-                assert count_distinct_knn_sets(data, k, grid) <= \
-                    knn_set_count_bound(n, 2)
+            counts = count_distinct_knn_sets(data, [1, 2], grid)
+            assert max(counts) <= knn_set_count_bound(n, 2)
+
+    @pytest.mark.parametrize("case", ["lattice-2d", "random-10d"])
+    @pytest.mark.parametrize("chunk_probes", [None, 7])
+    def test_every_k_equals_oracle(self, case, chunk_probes, monkeypatch):
+        import knnrates.structures as structures
+
+        rng = np.random.default_rng(41)
+        if case == "lattice-2d":
+            # Duplicated integer points probed on a quarter-step grid that
+            # hits points and bisectors, so ties decide membership.
+            points = rng.integers(0, 4, size=(40, 2)).astype(float)
+            probes, _ = uniform_grid((-0.5, -0.5), (3.5, 3.5), 16)
+            probes = probes.points
+        else:
+            points = rng.random((60, 10))
+            probes = rng.random((150, 10))
+        if chunk_probes is not None:
+            # Blocks of 7 probes: the probes span several blocks.
+            monkeypatch.setattr(structures, "_CHUNK_ENTRIES",
+                                chunk_probes * points.size)
+        ks = [5, 1, 12, 5, len(points)]  # unsorted, repeated, and k = n
+        data = Dataset(PointSet(points), np.zeros(len(points)))
+        assert count_distinct_knn_sets(data, ks, probes) == \
+            oracle_counts(points, ks, probes)
+
+    def test_ties_follow_sq_dists_summation_order(self):
+        # In D = 10, b holds a's coordinates with the pairs (0, 1) and
+        # (2, 3) swapped.  numpy sums ten squares pairwise, so |a|^2 and
+        # |b|^2 tie bit for bit, while a left-to-right sum splits them.
+        # The probes see {a, b}, {a} and {b} at k = 1.
+        a = np.random.default_rng(1).random(10)
+        b = a[[2, 3, 0, 1, 4, 5, 6, 7, 8, 9]]
+
+        def left_to_right(v):
+            total = 0.0
+            for x in v * v:
+                total += x
+            return total
+
+        assert left_to_right(a) != left_to_right(b)
+        points = np.vstack([a, b, np.full(10, 5.0)])
+        probes = np.vstack([np.zeros(10), a, b])
+        data = Dataset(PointSet(points), np.zeros(3))
+        assert oracle_counts(points, [1], probes) == [3]
+        assert count_distinct_knn_sets(data, [1], probes) == [3]
 
     def test_peak_memory_bounded_and_blocks_agree_with_oracle(self):
         # 4096 probes against 4096 plane points: one 4096 x n x D block
@@ -231,22 +280,29 @@ class TestSetCount:
         probes = rng.random((4096, 2))
         tracemalloc.start()
         try:
-            count_distinct_knn_sets(data, 8, probes)
+            count_distinct_knn_sets(data, [1, 8], probes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
         # A few hundred probes span several blocks; the count matches the
         # distinct oracle sets.
-        sets = {brute_force_knn(data.x.points, q, 8).member_indices.tobytes()
-                for q in probes[:300]}
-        assert count_distinct_knn_sets(data, 8, probes[:300]) == len(sets)
+        assert count_distinct_knn_sets(data, [8], probes[:300]) == \
+            oracle_counts(data.x.points, [8], probes[:300])
 
-    def test_k_validation(self):
+    def test_k_validation(self, monkeypatch):
+        # Every k is checked before the first distance block is taken.
+        import knnrates.structures as structures
+
+        def no_counting(*args):
+            raise AssertionError("counted before checking every k")
+
+        monkeypatch.setattr(structures, "_sq_dists", no_counting)
         data = data1d([0.0, 1.0], [0.0, 0.0])
         grid, _ = uniform_grid((0.0,), (1.0,), 10)
-        with pytest.raises(ValueError):
-            count_distinct_knn_sets(data, 3, grid)
+        for ks in ([3], [1, 3], [2, 0]):
+            with pytest.raises(ValueError, match="outside"):
+                count_distinct_knn_sets(data, ks, grid)
 
 
 class TestCloudFromLevelSet:
