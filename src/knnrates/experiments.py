@@ -122,6 +122,17 @@ class ExperimentConfig:
         object.__setattr__(self, "n_ladder", ladder)
         if any(k < 1 for k in self.k_values):
             raise ConfigError("k.values: entries must be >= 1")
+        if len(set(self.k_values)) != len(self.k_values):
+            raise ConfigError("k.values: entries must be distinct")
+        if self.kind == "setcount" and not self.k_values:
+            raise ConfigError("k.values is required for setcount experiments")
+        if self.kind == "levelset" and self.level_lambda is None:
+            raise ConfigError("level.lambda is required for levelset "
+                              "experiments")
+        if self.manifold is not None and self.kind not in ("regression",
+                                                           "coverage"):
+            raise ConfigError(f"experiment.kind: {self.kind} supports "
+                              "full-dimensional densities only")
         if self.seeds_per_n < 1:
             raise ConfigError("trial.seeds_per_n: must be >= 1")
         if self.probe_cells < 1:
@@ -367,11 +378,6 @@ def run_levelset(cfg: ExperimentConfig) -> list:
     """Per trial: estimate the level set with the data-driven margin and
     record its Hausdorff distance to the grid-discretized truth.  Empty
     estimates or empty truth produce failure rows (NaN value), not crashes."""
-    if cfg.manifold is not None:
-        raise ConfigError("experiment.kind: levelset supports full-dimensional "
-                          "densities only")
-    if cfg.level_lambda is None:
-        raise ConfigError("level.lambda is required for levelset experiments")
     fld = experiment_field(cfg)
     lam = float(cfg.level_lambda)
     lo, hi = support_box(cfg.density)
@@ -398,9 +404,6 @@ def run_levelset(cfg: ExperimentConfig) -> list:
 def run_maxima(cfg: ExperimentConfig) -> list:
     """Per trial: record the distance from the sample argmax of the
     regressor to the field's true maximizer, next to the guarantee."""
-    if cfg.manifold is not None:
-        raise ConfigError("experiment.kind: maxima supports full-dimensional "
-                          "densities only")
     fld = experiment_field(cfg)
     if fld.metadata.argmax is None:
         raise ConfigError("field.kind: maxima experiments need a field with "
@@ -421,11 +424,6 @@ def run_maxima(cfg: ExperimentConfig) -> list:
 def run_setcount(cfg: ExperimentConfig) -> list:
     """Count distinct neighbor sets over a probe grid and record them next
     to the combinatorial cap."""
-    if cfg.manifold is not None:
-        raise ConfigError("experiment.kind: setcount supports full-dimensional "
-                          "densities only")
-    if not cfg.k_values:
-        raise ConfigError("k.values is required for setcount experiments")
     probes, _ = probe_set(cfg)
     D = cfg.density.dim
     records = []
@@ -518,37 +516,6 @@ def read_records(path) -> list:
 # config file format
 
 
-# The keys each density and field kind reads, besides its `kind`.  A key
-# of the section that its kind does not read is rejected, not dropped.
-_DENSITY_KEYS = {
-    "uniform-box": {"low", "high"},
-    "truncated-mixture": {"low", "high", "bump_center", "bump_sigma",
-                          "bump_weight"},
-}
-_FIELD_KEYS = {
-    "constant": {"value"},
-    "tent": {"center", "slope", "peak", "level"},
-    "holder-cusp": {"center", "c_alpha", "alpha", "peak"},
-    "quadratic-peak": {"center", "curvature", "height", "r_m"},
-}
-
-
-_KNOWN_KEYS = {
-    "experiment.kind", "seed.master", "trial.seeds_per_n", "trial.delta",
-    "ladder.n", "k.rule", "k.fixed", "k.mode", "k.factor", "k.exponent",
-    "k.values", "probes.cells", "probes.count",
-    "density.kind", *(f"density.{name}" for names in _DENSITY_KEYS.values()
-                      for name in names),
-    "noise.kind", "noise.scale",
-    "field.kind", *(f"field.{name}" for names in _FIELD_KEYS.values()
-                    for name in names),
-    "manifold.kind", "manifold.ambient_dim", "manifold.radius",
-    "manifold.rotate", "manifold.rotation_seed", "manifold.field_slope",
-    "manifold.field_center_s", "manifold.field_peak",
-    "level.lambda", "level.m2",
-}
-
-
 def parse_config_text(text: str) -> dict:
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -577,11 +544,13 @@ def load_config_file(path) -> "ExperimentConfig":
 
 
 def _get(pairs, key, conv, default=None, required=False):
+    """Take `key` out of `pairs` and convert it.  Each key is read once, so
+    what is left in `pairs` afterwards is what no path read."""
     if key not in pairs:
         if required:
             raise ConfigError(f"{key}: required key is missing")
         return default
-    raw = pairs[key]
+    raw = pairs.pop(key)
     try:
         return conv(raw)
     except (ValueError, TypeError) as e:
@@ -618,79 +587,81 @@ def _spec(section: str, make, *args):
 
 
 def build_config(pairs: dict) -> ExperimentConfig:
-    unknown = sorted(set(pairs) - _KNOWN_KEYS)
-    if unknown:
-        raise ConfigError("unknown config key(s): " + ", ".join(unknown))
+    """Build a config from parsed `key = value` pairs.
 
-    if "manifold.kind" in pairs:
-        # The circle carries its own density and field.
-        for key in pairs:
-            if key.startswith(("density.", "field.")):
-                raise ConfigError(f"{key}: a manifold config takes no "
-                                  "density.* or field.* keys")
-
+    Each key is read only on the path that uses it, which the experiment
+    kind, the k rule and the manifold, density or field kind choose.  A key
+    that no path read is rejected, not dropped: one ConfigError names every
+    such key.  `probes.cells` and `probes.count` are read for every study.
+    """
+    pairs = dict(pairs)  # _get takes each key it reads out of this copy
     kind = _get(pairs, "experiment.kind", str, required=True)
-    density = _spec("density", _density_from, pairs)
-    field_kind = _get(pairs, "field.kind", str)
+    # The circle carries its own density and field.
+    manifold = _spec("manifold", _manifold_from, pairs)
+    density = (_spec("density", _density_from, pairs) if manifold is None
+               else None)
+    study = {}
+    if kind == "setcount":
+        # The counter reads only the sample points.
+        study["k_values"] = _get(pairs, "k.values", _ints, default=())
+    else:
+        study.update(
+            delta=_get(pairs, "trial.delta", float, default=0.1),
+            k_rule=_k_rule_from(pairs),
+            noise=_spec("noise", NoiseSpec,
+                        _get(pairs, "noise.kind", str, default="none"),
+                        _get(pairs, "noise.scale", float, default=0.0)))
+    if kind == "levelset":
+        study.update(level_lambda=_get(pairs, "level.lambda", float),
+                     m2=_get(pairs, "level.m2", float))
+    if density is not None and kind != "setcount":
+        field_kind = study["field_kind"] = _get(pairs, "field.kind", str)
+        if field_kind is not None:
+            study["field_params"] = _field_params_from(
+                pairs, field_kind, density.dim, study.get("level_lambda"))
     cfg = ExperimentConfig(
         kind=kind,
         master_seed=_get(pairs, "seed.master", int, required=True),
         n_ladder=_get(pairs, "ladder.n", _ints, required=True),
         seeds_per_n=_get(pairs, "trial.seeds_per_n", int, default=1),
-        delta=_get(pairs, "trial.delta", float, default=0.1),
-        k_rule=KRule(rule=_get(pairs, "k.rule", str, default="optimal"),
-                     fixed=_get(pairs, "k.fixed", int),
-                     mode=_get(pairs, "k.mode", str, default="regression"),
-                     factor=_get(pairs, "k.factor", float, default=1.0),
-                     exponent=_get(pairs, "k.exponent", float)),
-        k_values=_get(pairs, "k.values", _ints, default=()),
+        # Read for every study, though each uses one of the two: a grid of
+        # probes.cells per axis, or in three or more dimensions a Halton
+        # cloud of probes.count.  A config may set either for any density.
         probe_cells=_get(pairs, "probes.cells", int, default=512),
         probe_count=_get(pairs, "probes.count", int, default=4096),
-        density=density,
-        noise=_spec("noise", NoiseSpec,
-                    _get(pairs, "noise.kind", str, default="none"),
-                    _get(pairs, "noise.scale", float, default=0.0)),
-        field_kind=field_kind,
-        field_params=_field_params_from(pairs, field_kind, density, kind),
-        manifold=_spec("manifold", _manifold_from, pairs),
-        level_lambda=_get(pairs, "level.lambda", float),
-        m2=_get(pairs, "level.m2", float),
-    )
-    if cfg.kind == "setcount":
-        # The counter reads only the points, so a field would go unchecked.
-        for key in pairs:
-            if key.startswith("field."):
-                raise ConfigError(f"{key}: a setcount config takes no "
-                                  "field.* keys")
-    else:
+        density=density, manifold=manifold, **study)
+    if kind != "setcount":
         # Every other runner builds the field; a bad field value fails here.
         _spec("field", experiment_field, cfg)
+    if pairs:
+        raise ConfigError("unknown config key(s): " + ", ".join(sorted(pairs)))
     return cfg
 
 
-def _check_section(pairs, section: str, kind: str, table) -> None:
-    """Raise a ConfigError naming the first `section.*` key that `kind`
-    does not read, or `section.kind` when the kind is unknown."""
-    if kind not in table:
-        raise ConfigError(f"{section}.kind: unknown kind {kind!r}")
-    for key in pairs:
-        prefix, _, name = key.partition(".")
-        if prefix == section and name != "kind" and name not in table[kind]:
-            raise ConfigError(f"{key}: a {kind} {section} takes no such key")
+def _k_rule_from(pairs) -> KRule:
+    rule = _get(pairs, "k.rule", str, default="optimal")
+    if rule == "fixed":
+        return KRule(rule, fixed=_get(pairs, "k.fixed", int))
+    factor = _get(pairs, "k.factor", float, default=1.0)
+    if rule == "power":
+        return KRule(rule, factor=factor,
+                     exponent=_get(pairs, "k.exponent", float))
+    return KRule(rule, factor=factor,
+                 mode=_get(pairs, "k.mode", str, default="regression"))
 
 
 def _density_from(pairs) -> Optional[DensitySpec]:
     kind = _get(pairs, "density.kind", str)
     if kind is None:
         return None
-    _check_section(pairs, "density", kind, _DENSITY_KEYS)
+    if kind not in ("uniform-box", "truncated-mixture"):
+        raise ConfigError(f"density.kind: unknown kind {kind!r}")
+    low = _get(pairs, "density.low", _floats, required=True)
+    high = _get(pairs, "density.high", _floats, required=True)
     if kind == "uniform-box":
-        return uniform_box(_get(pairs, "density.low", _floats, required=True),
-                           _get(pairs, "density.high", _floats, required=True))
+        return uniform_box(low, high)
     return truncated_mixture(
-        _get(pairs, "density.low", _floats, required=True),
-        _get(pairs, "density.high", _floats, required=True),
-        _get(pairs, "density.bump_center", _floats, required=True),
+        low, high, _get(pairs, "density.bump_center", _floats, required=True),
         _get(pairs, "density.bump_sigma", float, required=True),
         _get(pairs, "density.bump_weight", float, required=True))
 
@@ -712,26 +683,23 @@ def _manifold_from(pairs) -> Optional[ManifoldSpec]:
     )
 
 
-def _field_params_from(pairs, field_kind, density, experiment_kind):
-    # A field without a density is either on a manifold config, which
-    # build_config has rejected, or on one that ExperimentConfig rejects.
-    if field_kind is None or density is None:
-        return None
-    _check_section(pairs, "field", field_kind, _FIELD_KEYS)
+def _field_params_from(pairs, field_kind, dim, level_lambda):
+    """The field's parameters; a levelset study's tent takes `level.lambda`
+    as its level unless `field.level` sets one."""
     if field_kind == "constant":
         return {"value": _get(pairs, "field.value", float, required=True),
-                "dim": density.dim}
+                "dim": dim}
+    if field_kind not in ("tent", "holder-cusp", "quadratic-peak"):
+        raise ConfigError(f"field.kind: unknown kind {field_kind!r}")
     center = _get(pairs, "field.center", _floats, required=True)
-    if len(center) != density.dim:
+    if len(center) != dim:
         raise ConfigError(f"field.center: has {len(center)} coordinates, "
-                          f"the density has dimension {density.dim}")
+                          f"the density has dimension {dim}")
     p = {"center": center}
     if field_kind == "tent":
         p["slope"] = _get(pairs, "field.slope", float, required=True)
         p["peak"] = _get(pairs, "field.peak", float, default=1.0)
-        level = _get(pairs, "field.level", float)
-        if level is None and experiment_kind == "levelset":
-            level = _get(pairs, "level.lambda", float)
+        level = _get(pairs, "field.level", float, default=level_lambda)
         if level is not None:
             p["level"] = level
     elif field_kind == "holder-cusp":

@@ -290,8 +290,8 @@ class TestAllSubcommands:
         cfg = tmp_path / "setcount.cfg"
         cfg.write_text(SETCOUNT_CONFIG + extra)
         assert cli_main(["setcount", "--config", str(cfg), "--quiet"]) == 1
-        assert f"{key}: a setcount config takes no field" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and key in err
 
     def test_summary_counts_each_setcount_trial_once(self, tmp_path,
                                                      monkeypatch, capsys):

@@ -2,17 +2,19 @@
 CSV schema and reproducibility, and tiny end-to-end runner runs."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from knnrates import (ConfigError, DegenerateFitError, ExperimentRecord,
                       KRule, build_config, fit_rate, holder_bound,
-                      knn_set_count_bound, read_records, records_to_csv,
-                      run_coverage, run_levelset, run_maxima,
+                      knn_set_count_bound, load_config_file, read_records,
+                      records_to_csv, run_coverage, run_levelset, run_maxima,
                       run_regression_rate, run_setcount, write_records)
-from knnrates.experiments import (bound_params_for, experiment_field,
-                                  parse_config_text, probe_set, resolve_k)
+from knnrates.experiments import (EXPERIMENT_KINDS, bound_params_for,
+                                  experiment_field, parse_config_text,
+                                  probe_set, resolve_k)
 
 
 def base_pairs(**over):
@@ -35,10 +37,12 @@ def base_pairs(**over):
         "field.slope": "2.0",
         "field.peak": "1.0",
     }
-    # A kind rejects the keys it does not read, so overriding the field or
-    # density kind drops the base's keys of that section.
-    for section in ("density", "field"):
-        if f"{section}.kind" in over:
+    # A kind or k rule rejects the keys it does not read, so overriding the
+    # field or density kind or the k rule drops the base's keys of that
+    # section.
+    for section, kind in (("density", "kind"), ("field", "kind"),
+                          ("k", "rule")):
+        if f"{section}.{kind}" in over:
             pairs = {key: value for key, value in pairs.items()
                      if not key.startswith(section + ".")}
     pairs.update(over)
@@ -46,10 +50,12 @@ def base_pairs(**over):
 
 
 def setcount_pairs(**over):
-    """base_pairs for a setcount study, which takes no field.* keys."""
+    """base_pairs for a setcount study, which reads no k rule, noise,
+    trial.delta or field.* keys."""
     pairs = base_pairs(**{"experiment.kind": "setcount", **over})
     return {key: value for key, value in pairs.items()
-            if not key.startswith("field.")}
+            if not key.startswith(("field.", "noise.", "k.rule", "k.exponent",
+                                   "trial.delta"))}
 
 
 class TestConfigParsing:
@@ -79,6 +85,53 @@ class TestConfigParsing:
     def test_unknown_key_named(self, key):
         with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
             build_config(base_pairs(**{key: "1"}))
+
+    # Each key in a config whose path does not read it: a power rule reads
+    # no k.fixed or k.mode and an optimal rule no k.exponent; only setcount
+    # reads k.values and only levelset the level.* keys; manifold.* keys
+    # need a manifold.kind; setcount reads no k rule, noise or trial.delta.
+    @pytest.mark.parametrize("study, key, value", [
+        ("power", "k.fixed", "7"), ("power", "k.values", "3, 5"),
+        ("power", "level.lambda", "0.3"), ("power", "level.m2", "0.3"),
+        ("power", "k.mode", "regression"), ("power", "manifold.radius", "0.2"),
+        ("optimal", "k.exponent", "0.5"), ("setcount", "k.rule", "power"),
+        ("setcount", "k.fixed", "3"), ("setcount", "noise.kind", "gaussian"),
+        ("setcount", "noise.scale", "0.1"), ("setcount", "trial.delta", "0.1"),
+        ("setcount", "level.m2", "0.3")])
+    def test_unread_key_named(self, study, key, value):
+        pairs = {"power": base_pairs(),
+                 "optimal": base_pairs(**{"k.rule": "optimal"}),
+                 "setcount": setcount_pairs(**{
+                     "k.values": "1, 3", "density.low": "0, 0",
+                     "density.high": "1, 1"})}[study]
+        assert key not in pairs
+        with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
+            build_config({**pairs, key: value})
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("levelset", {"level.lambda": "0.0"}), ("maxima", {}),
+        ("setcount", {"k.values": "1"})], ids=["levelset", "maxima",
+                                                "setcount"])
+    def test_manifold_only_for_regression_and_coverage(self, kind, extra):
+        with pytest.raises(ConfigError, match=f"^experiment.kind: {kind} "
+                           "supports full-dimensional densities only"):
+            build_config({
+                "experiment.kind": kind, "seed.master": "1",
+                "ladder.n": "32", "manifold.kind": "circle",
+                "manifold.ambient_dim": "3", **extra})
+
+    def test_levelset_needs_lambda(self):
+        with pytest.raises(ConfigError, match="^level.lambda is required"):
+            build_config(base_pairs(**{"experiment.kind": "levelset"}))
+
+    def test_setcount_needs_k_values(self):
+        with pytest.raises(ConfigError, match="^k.values is required"):
+            build_config(setcount_pairs(**{"density.low": "0, 0",
+                                           "density.high": "1, 1"}))
+
+    def test_repeated_k_values_rejected(self):
+        with pytest.raises(ConfigError, match="^k.values: .*distinct"):
+            build_config(setcount_pairs(**{"k.values": "3, 1, 3"}))
 
     def test_missing_required_named(self):
         pairs = base_pairs()
@@ -118,6 +171,18 @@ class TestConfigParsing:
         assert cfg.n_ladder == (32, 64)
         assert cfg.density.p0 == 1.0
         assert cfg.noise.sigma == 0.1
+
+
+CANNED_CONFIGS = sorted(
+    path for root in ("scripts", "perfbench")
+    for path in (pathlib.Path(__file__).resolve().parent.parent / root
+                 / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CANNED_CONFIGS,
+                         ids=lambda p: f"{p.parent.parent.name}/{p.name}")
+def test_canned_config_loads(path):
+    assert load_config_file(path).kind in EXPERIMENT_KINDS
 
 
 class TestKRule:
