@@ -7,6 +7,7 @@ All randomness flows from --seed (when given) or the config master seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 
@@ -36,7 +37,10 @@ _SUBCOMMAND_KIND = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first call and reused: parsing
+    leaves no state in it, and building it costs more than a parse."""
     parser = _Parser(prog="knnrates",
                      description="k-NN regression rate experiments")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

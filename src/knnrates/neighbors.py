@@ -7,7 +7,10 @@ that radius, so ties at the boundary may push its size above k.
 Two query paths are provided: an index for speed and a brute-force full
 scan as the correctness oracle.  Both decide membership with the same
 squared-distance arithmetic and exact float comparisons (no epsilon), so
-their answers agree bit for bit.
+their answers agree bit for bit.  That arithmetic (`_sq_dists`) is one
+whole-array operation per coordinate, with the squares added in numpy's
+own pairwise order, so it has the bits of numpy's sum over the
+coordinates at a fraction of its cost in low dimensions.
 
 In D = 1 the index is the stable sorted order of the coordinate and holds
 no tree, so no 1-D path loads scipy.  The neighbor set of a query is a
@@ -131,6 +134,39 @@ def as_point_set(points) -> PointSet:
     return points if isinstance(points, PointSet) else PointSet(points)
 
 
+def _pairwise_sum(term, lo: int, m: int) -> np.ndarray:
+    """term(lo) + ... + term(lo + m - 1) in numpy's own pairwise order.
+
+    This is the order of numpy's sum over a contiguous axis: left to right
+    for fewer than 8 terms; up to 128 terms, eight running sums over
+    strides of 8, combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    remainder left to right; above 128, the sum of two halves split at a
+    multiple of 8.  numpy starts from zero, which changes no bit of a sum
+    of terms that are never -0.0.  Each term must be a fresh array, since
+    the sums accumulate in place.
+    """
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        out = _pairwise_sum(term, lo, half)
+        out += _pairwise_sum(term, lo + half, m - half)
+        return out
+    if m < 8:
+        out = term(lo)
+        for j in range(lo + 1, lo + m):
+            out += term(j)
+        return out
+    r = [term(lo + j) for j in range(8)]
+    end = lo + m - m % 8
+    for i in range(lo + 8, end, 8):
+        for j, acc in enumerate(r):
+            acc += term(i + j)
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[a] += r[b]
+    for j in range(end, lo + m):
+        r[0] += term(j)
+    return r[0]
+
+
 def _sq_dists(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distances from q to each row of pts, reduced over the last
     (coordinate) axis.
@@ -141,9 +177,19 @@ def _sq_dists(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
     function, or in D = 1 through its one-coordinate form diff * diff, so
     that the index, the oracle, and the batch paths share identical
     floating-point arithmetic.
+
+    The result has the bits of (diff * diff).sum(axis=-1), but is built
+    from D whole-array column operations, since numpy's reduction over a
+    short trailing axis costs several times more than the same arithmetic
+    done a column at a time.  Rounding depends on the order of the
+    additions, so the squares are added in numpy's own order
+    (_pairwise_sum).
     """
-    diff = pts - q
-    return (diff * diff).sum(axis=-1)
+    def square(j):
+        diff = np.subtract(pts[..., j], q[..., j])
+        return np.multiply(diff, diff, out=diff)
+
+    return _pairwise_sum(square, 0, pts.shape[-1])
 
 
 def _check_query(q, dim: int) -> np.ndarray:

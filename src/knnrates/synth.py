@@ -13,6 +13,7 @@ trial's streams depend only on (master, n, seed, label).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -307,10 +308,16 @@ class ManifoldSpec:
         return 1.0 / self.length
 
 
+@functools.lru_cache(maxsize=16)
 def _rotation_matrix(dim: int, seed: int) -> np.ndarray:
+    """The seeded rotation of a manifold's ambient space.  Every embedding
+    and inverse map of a study takes the same matrix, so it is built once
+    per (dim, seed) and shared read-only."""
     g = _rng(stream_seed(seed, "manifold-rotation"))
     q, r = np.linalg.qr(g.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
+    rot = q * np.sign(np.diag(r))
+    rot.setflags(write=False)
+    return rot
 
 
 def embed_points(spec: ManifoldSpec, s: np.ndarray) -> np.ndarray:

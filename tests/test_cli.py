@@ -129,6 +129,47 @@ class TestExitCodes:
         assert cli_main(["--help"]) == 0
 
 
+class TestParserReuse:
+    def test_calls_in_one_process_equal_separate_calls(self, tmp_path,
+                                                        config_path, capsys):
+        # cli_main builds its parser once per process.  A run of calls with
+        # different subcommands and flags (a --seed that the next call
+        # omits, --quiet or not, usage errors) must give each call's exit
+        # code and output as a call with a parser of its own does.
+        import knnrates.cli as climod
+
+        setcount = tmp_path / "setcount.cfg"
+        setcount.write_text(SETCOUNT_CONFIG)
+        calls = [
+            ["regress", "--config", str(config_path), "--seed", "7",
+             "--quiet"],
+            ["regress", "--config", str(config_path), "--quiet"],
+            ["regress", "--config", str(config_path), "--frob"],
+            ["setcount", "--config", str(setcount), "--quiet"],
+            ["setcount", "--seed", "x", "--config", str(setcount)],
+            ["maxima", "--config", str(config_path)],
+            [],
+        ]
+
+        def run(fresh_parser):
+            results = []
+            for argv in calls:
+                if fresh_parser:
+                    climod._build_parser.cache_clear()
+                code = cli_main(argv)
+                out, err = capsys.readouterr()
+                results.append((code, out, err))
+            return results
+
+        separate = run(fresh_parser=True)
+        climod._build_parser.cache_clear()
+        together = run(fresh_parser=False)
+        assert climod._build_parser.cache_info().misses == 1
+        assert together == separate
+        assert [code for code, _, _ in together] == [0, 0, 1, 0, 1, 1, 1]
+        assert together[0][1] != together[1][1]  # --seed did not leak
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self, config_path, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -267,11 +308,11 @@ density.high = 1.0, 1.0
 
 class TestAllSubcommands:
     @pytest.mark.parametrize("command,text,quantity", [
-        ("manifold", MANIFOLD_CONFIG, "sup_error"),
-        ("levelset", LEVELSET_CONFIG, "d_H"),
-        ("maxima", MAXIMA_CONFIG, "maxima_dist"),
-        ("setcount", SETCOUNT_CONFIG, "set_count"),
-    ])
+        pytest.param(*case, id=case[0]) for case in [
+            ("manifold", MANIFOLD_CONFIG, "sup_error"),
+            ("levelset", LEVELSET_CONFIG, "d_H"),
+            ("maxima", MAXIMA_CONFIG, "maxima_dist"),
+            ("setcount", SETCOUNT_CONFIG, "set_count")]])
     def test_subcommand_emits_records(self, tmp_path, command, text, quantity):
         cfg = tmp_path / f"{command}.cfg"
         cfg.write_text(text)

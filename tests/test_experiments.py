@@ -550,3 +550,20 @@ def test_golden_csv_bytes(name):
     pairs, digest = GOLDEN_CONFIGS[name]
     csv = records_to_csv(run_experiment(build_config(pairs)))
     assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest
+
+
+def test_manifold_bytes_with_cold_and_warm_rotation():
+    # The manifold rotation is built once per (dim, seed) and reused: a
+    # study run with it built fresh and one run with it reused write the
+    # golden bytes.
+    import hashlib
+
+    from knnrates import run_experiment
+    from knnrates.synth import _rotation_matrix
+
+    pairs, digest = GOLDEN_CONFIGS["manifold"]
+    _rotation_matrix.cache_clear()
+    for _ in range(2):
+        csv = records_to_csv(run_experiment(build_config(pairs)))
+        assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest
+    assert _rotation_matrix.cache_info().misses == 1

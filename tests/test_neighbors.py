@@ -179,6 +179,61 @@ class TestBatchRadii:
             assert np.array_equal(batch, scalar)
 
 
+class TestSqDists:
+    # _sq_dists adds its squares a column at a time in numpy's own
+    # reduction order; its bits must equal the reduction it stands for on
+    # every shape its callers pass: points against one query (the oracle),
+    # a query block against the points (the set counter) and candidate
+    # blocks against their own queries (the D >= 2 batch paths).
+    @pytest.mark.parametrize("dim", [*range(1, 41), 129, 300])
+    def test_bits_equal_numpy_reduction(self, dim):
+        from knnrates.neighbors import _sq_dists
+
+        rng = np.random.default_rng(dim)
+
+        def draw(shape):
+            # Normal draws at one magnitude (squares near 1e+300, which can
+            # overflow when summed, near 1e-300, subnormal or flushed to 0),
+            # with about a tenth of the coordinates set to +0.0 or -0.0.
+            scale = rng.choice([1.0, 1e150, 1e153, 1e-150, 1e-160, 1e-310])
+            x = rng.standard_normal(shape) * scale
+            zeros = rng.random(shape) < 0.1
+            x[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+            return x
+
+        for pts_shape, q_shape in [((37, dim), (dim,)),
+                                   ((37, dim), (9, 1, dim)),
+                                   ((9, 11, dim), (9, 1, dim))]:
+            for _ in range(6):
+                pts, q = draw(pts_shape), draw(q_shape)
+                with np.errstate(over="ignore", under="ignore"):
+                    diff = pts - q
+                    want = (diff * diff).sum(axis=-1)
+                    got = _sq_dists(pts, q)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_leaves_no_reference_to_its_inputs(self):
+        # Callers pass gathered candidate blocks; they must be freed when
+        # the call returns, not kept alive until a cyclic collection.
+        import gc
+        import weakref
+
+        from knnrates.neighbors import _sq_dists
+
+        rng = np.random.default_rng(3)
+        gc.disable()
+        try:
+            for dim in (2, 10, 129):
+                pts, q = rng.random((20, dim)), rng.random((4, 1, dim))
+                refs = [weakref.ref(pts), weakref.ref(q)]
+                _sq_dists(pts, q)
+                del pts, q
+                assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+
 class TestBatchMemory:
     def test_scalar_1d_query_copies_no_coordinates(self):
         import tracemalloc

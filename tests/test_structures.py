@@ -270,6 +270,18 @@ class TestSetCount:
         assert oracle_counts(points, [1], probes) == [3]
         assert count_distinct_knn_sets(data, [1], probes) == [3]
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
+    def test_packed_rows_equal_oracle_at_byte_edges(self, n):
+        # Each row's n mask bits are padded to whole bytes before the block
+        # is packed flat; n = 8 and 16 need no padding, the others do.
+        rng = np.random.default_rng(n)
+        points = rng.integers(0, 3, size=(n, 2)).astype(float)
+        probes, _ = uniform_grid((-0.5, -0.5), (2.5, 2.5), 12)
+        ks = sorted({1, (n + 1) // 2, n})
+        data = Dataset(PointSet(points), np.zeros(n))
+        assert count_distinct_knn_sets(data, ks, probes) == \
+            oracle_counts(points, ks, probes.points)
+
     def test_peak_memory_bounded_and_blocks_agree_with_oracle(self):
         # 4096 probes against 4096 plane points: one 4096 x n x D block
         # would take 256 MiB of coordinate differences alone.

@@ -206,6 +206,16 @@ class TestManifolds:
         b = embed_manifold(spec, 50, 3).points.points
         assert np.array_equal(a, b)
 
+    def test_rotation_built_once_and_read_only(self):
+        from knnrates.synth import _rotation_matrix
+
+        rot = _rotation_matrix(10, 5)
+        assert _rotation_matrix(10, 5) is rot
+        with pytest.raises(ValueError, match="read-only"):
+            rot[0, 0] = 1.0
+        # A build outside the cache gives the same bits.
+        assert np.array_equal(_rotation_matrix.__wrapped__(10, 5), rot)
+
     def test_ambient_dim_validation(self):
         with pytest.raises(ValueError):
             ManifoldSpec(kind="circle", ambient_dim=1)
