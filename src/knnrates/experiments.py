@@ -12,6 +12,7 @@ bytes.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -272,40 +273,74 @@ def _try(fn, *args, **kwargs) -> float:
         return float("nan")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else every CPU of the machine."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_trials(trial, jobs) -> list:
+    """The records of `trial(job)` for each job, concatenated in job order.
+
+    Each trial draws from its own (master, n, seed, label) streams and
+    builds its own index, so trials run at once on a thread pool of one
+    worker per usable CPU (the tree queries and numpy's large kernels
+    release the GIL) give the records of a serial loop.  With one worker
+    this is a plain loop that starts no thread.  A failing trial raises as
+    in the serial loop: the first failure in job order, after which the
+    jobs not yet started are cancelled.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers <= 1:
+        results = [trial(job) for job in jobs]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(trial, jobs))
+    return [record for records in results for record in records]
+
+
 def _run_trials(cfg: ExperimentConfig, fld: ScalarField, setting: str,
                 bounds, measure) -> list:
-    """The n-ladder x seed loop shared by the field-based runners.
+    """The n-ladder x seed trials shared by the field-based runners.
 
     Per rung it resolves k, evaluates `bounds(params, n, k)` (a dict from
-    quantity to bound) and the k-window validity for `setting`.  Per seed it
-    draws the trial dataset from the (master, n, seed, label) streams and
-    records every (quantity, value) pair that `measure(data, k)` returns,
-    with the trial's wall time.
+    quantity to bound) and the k-window validity for `setting`, all before
+    any trial runs.  Per seed it draws the trial dataset from the (master,
+    n, seed, label) streams and records every (quantity, value) pair that
+    `measure(data, k)` returns, with the trial's wall time.  The trials run
+    through _map_trials.
     """
     params = bound_params_for(cfg, fld)
     dim = cfg.manifold.d if cfg.manifold is not None else cfg.density.dim
     smoothness = fld.metadata.beta if cfg.k_rule.mode == "levelset_beta" \
         else fld.metadata.alpha
-    records = []
+    jobs = []
     for n in cfg.n_ladder:
         k = resolve_k(cfg.k_rule, n, dim, smoothness)
-        bound = bounds(params, n, k)
-        valid = _validity(params, n, k, setting)
-        for s in range(cfg.seeds_per_n):
-            t0 = time.perf_counter()
-            seed = stream_seed(cfg.master_seed, n, s, "points")
-            if cfg.manifold is not None:
-                x = embed_manifold(cfg.manifold, n, seed).points
-            else:
-                x = sample_points(cfg.density, n, seed)
-            noise = sample_noise(cfg.noise, n,
-                                 stream_seed(cfg.master_seed, n, s, "noise"))
-            pairs = measure(Dataset(x, fld.evaluate(x.points) + noise), k)
-            ms = int(round(1000.0 * (time.perf_counter() - t0)))
-            records.extend(ExperimentRecord(cfg.kind, n, k, s, q, value,
-                                            bound[q], valid, ms)
-                           for q, value in pairs)
-    return records
+        rung = (n, k, bounds(params, n, k), _validity(params, n, k, setting))
+        jobs.extend((rung, s) for s in range(cfg.seeds_per_n))
+
+    def trial(job):
+        (n, k, bound, valid), s = job
+        t0 = time.perf_counter()
+        seed = stream_seed(cfg.master_seed, n, s, "points")
+        if cfg.manifold is not None:
+            x = embed_manifold(cfg.manifold, n, seed).points
+        else:
+            x = sample_points(cfg.density, n, seed)
+        noise = sample_noise(cfg.noise, n,
+                             stream_seed(cfg.master_seed, n, s, "noise"))
+        pairs = measure(Dataset(x, fld.evaluate(x.points) + noise), k)
+        ms = int(round(1000.0 * (time.perf_counter() - t0)))
+        return [ExperimentRecord(cfg.kind, n, k, s, q, value, bound[q],
+                                 valid, ms)
+                for q, value in pairs]
+
+    return _map_trials(trial, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -423,29 +458,32 @@ def run_maxima(cfg: ExperimentConfig) -> list:
 
 def run_setcount(cfg: ExperimentConfig) -> list:
     """Count distinct neighbor sets over a probe grid and record them next
-    to the combinatorial cap."""
+    to the combinatorial cap.  A trial counts every k of `k.values` up to
+    its n; a rung with no such k has no trials."""
     probes, _ = probe_set(cfg)
     D = cfg.density.dim
-    records = []
+    jobs = []
     for n in cfg.n_ladder:
-        cap = float(knn_set_count_bound(n, D))
-        for s in range(cfg.seeds_per_n):
-            x = sample_points(cfg.density, n,
-                              stream_seed(cfg.master_seed, n, s, "points"))
-            data = Dataset(x=x, y=np.zeros(n))
-            ks = [k for k in cfg.k_values if k <= n]
-            if not ks:
-                continue
-            # One trial counts every k from one distance block, so each of
-            # its records carries the trial's time.
-            t0 = time.perf_counter()
-            counts = count_distinct_knn_sets(data, ks, probes)
-            ms = int(round(1000.0 * (time.perf_counter() - t0)))
-            records.extend(ExperimentRecord(cfg.kind, n, int(k), s,
-                                            "set_count", float(count), cap,
-                                            True, ms)
-                           for k, count in zip(ks, counts))
-    return records
+        ks = [k for k in cfg.k_values if k <= n]
+        if ks:
+            rung = (n, ks, float(knn_set_count_bound(n, D)))
+            jobs.extend((rung, s) for s in range(cfg.seeds_per_n))
+
+    def trial(job):
+        (n, ks, cap), s = job
+        x = sample_points(cfg.density, n,
+                          stream_seed(cfg.master_seed, n, s, "points"))
+        data = Dataset(x=x, y=np.zeros(n))
+        # One trial counts every k from one distance block, so each of its
+        # records carries the trial's time.
+        t0 = time.perf_counter()
+        counts = count_distinct_knn_sets(data, ks, probes)
+        ms = int(round(1000.0 * (time.perf_counter() - t0)))
+        return [ExperimentRecord(cfg.kind, n, int(k), s, "set_count",
+                                 float(count), cap, True, ms)
+                for k, count in zip(ks, counts)]
+
+    return _map_trials(trial, jobs)
 
 
 def run_experiment(cfg: ExperimentConfig):

@@ -67,8 +67,11 @@ _TIE_ENTRIES = 2 ** 14
 
 # Tree-query entries (rows x (k+1)) per D >= 2 batch chunk.  A chunk peaks
 # near 32 bytes per entry (tree distances and indices plus the reductions'
-# temporaries), so a batch call stays near 32 MiB whatever k is.
-_CHUNK_ENTRIES = 2 ** 20
+# temporaries), so a batch call stays near 2 MiB whatever k is.  A study
+# runs one trial per usable CPU at once, each with its own chunks, so the
+# chunk is kept small enough that those working sets add little to a
+# process's peak memory.
+_CHUNK_ENTRIES = 2 ** 16
 
 # Rows per D = 1 batch chunk.  A window row holds a few scalars whatever k
 # is, so the chunk is sized by rows alone.
@@ -455,8 +458,9 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     tree k-th distance is not finite (it bounds no candidate set) take
     knn_query.  Every mean is the correctly rounded one (_means), and every
     row gets the bits of a scalar loop.  A D = 1 chunk holds _CHUNK_ROWS_1D
-    rows; a D >= 2 chunk holds _CHUNK_ENTRIES entries of k+1, or one row
-    when k+1 alone exceeds that.
+    rows; a D >= 2 chunk holds _CHUNK_ENTRIES (2^16) entries of k+1, about
+    2 MiB at its peak, or one row when k+1 alone exceeds that.  Rows are
+    settled independently, so the chunk size changes no bit of the output.
     """
     ps = index.source
     Q = np.asarray(queries, dtype=np.float64)

@@ -126,7 +126,10 @@ def count_distinct_knn_sets(data: Dataset, ks, probes) -> list:
     packed by one packbits over the flattened block, which is several times
     faster than packbits along short rows and gives the same bytes; each
     packed row is then one bytes value, compared with its neighbor and
-    hashed without a Python loop.  Every k is checked before any counting.
+    hashed without a Python loop.  A block holds at most _CHUNK_ENTRIES
+    (2^16) coordinate differences, so the counter's peak memory stays near
+    a MiB however many probes there are.  Every k is checked before any
+    counting.
     """
     ps = as_point_set(probes)
     pts = data.x.points

@@ -379,7 +379,8 @@ class TestRunAllScript:
 
 class TestScipyOnlyForTrees:
     """A fresh interpreter, since pytest's may already hold scipy: the
-    package, a 1-D study and a 2-D setcount study load no scipy module,
+    package (which loads no `concurrent.futures` either), a 1-D study and
+    a 2-D setcount study load no scipy module,
     and the first D >= 2 index loads it and answers as the oracle does."""
 
     SCRIPT = """\
@@ -394,6 +395,8 @@ import knnrates
 from knnrates.cli import cli_main
 
 assert not scipy_modules(), scipy_modules()
+# Nor the trial pool's module, which loads with the first pool.
+assert "concurrent.futures" not in sys.modules
 assert cli_main(["levelset", "--config", sys.argv[1], "--out", sys.argv[2],
                  "--quiet"]) == 0
 assert not scipy_modules(), scipy_modules()

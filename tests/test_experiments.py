@@ -567,3 +567,167 @@ def test_manifold_bytes_with_cold_and_warm_rotation():
         csv = records_to_csv(run_experiment(build_config(pairs)))
         assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest
     assert _rotation_matrix.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# trials on a thread pool
+
+
+def _force_cpus(monkeypatch, count):
+    """Make the runners see `count` usable CPUs."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The number of threads started since the fixture was set up."""
+    import threading
+
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(self, *args, **kwargs):
+        started.append(self)
+        return start(self, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+class TestParallelTrials:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_records_equal_serial(self, name, monkeypatch, thread_starts):
+        # Every runner path, on one worker and on two: the same records in
+        # the same order, and the golden bytes.
+        import hashlib
+
+        from knnrates import run_experiment
+
+        pairs, digest = GOLDEN_CONFIGS[name]
+        runs = []
+        for cpus in (1, 2):
+            _force_cpus(monkeypatch, cpus)
+            del thread_starts[:]
+            records = run_experiment(build_config(pairs))
+            runs.append(([(r.experiment, r.n, r.k, r.seed, r.quantity,
+                           repr(r.value), r.bound, r.valid_k)
+                          for r in records], records_to_csv(records)))
+            # One worker is a plain loop; two run the trials on a pool.
+            assert bool(thread_starts) == (cpus == 2)
+        assert runs[0] == runs[1]
+        assert hashlib.sha256(runs[1][1].encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["coverage", "manifold", "setcount"])
+    def test_more_workers_than_cores(self, name, monkeypatch):
+        # Eight workers over eight trials that switch threads as often as
+        # the interpreter allows: the trials share only read-only state (the
+        # config, field, probes and cached rotation), so the records are
+        # still the serial ones.
+        import sys
+
+        from knnrates import run_experiment
+        from knnrates.synth import _rotation_matrix
+
+        pairs = dict(GOLDEN_CONFIGS[name][0], **{"trial.seeds_per_n": "4"})
+        _force_cpus(monkeypatch, 1)
+        serial = records_to_csv(run_experiment(build_config(pairs)))
+        _force_cpus(monkeypatch, 8)
+        _rotation_matrix.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = records_to_csv(run_experiment(build_config(pairs)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == serial
+
+    @pytest.mark.parametrize("name", ["coverage", "setcount"])
+    def test_failing_trial_raises_as_serial(self, name, monkeypatch):
+        # Two trials fail, the later one first in time: the pool raises the
+        # error of the first failing trial in ladder order, as a serial loop
+        # does, and leaves no thread running.
+        import threading
+        import time
+
+        from knnrates import experiments, run_experiment
+
+        pairs = dict(GOLDEN_CONFIGS[name][0], **{"trial.seeds_per_n": "2"})
+        cfg = build_config(pairs)
+        first, second = (cfg.n_ladder[0], 1), (cfg.n_ladder[1], 0)
+        real = experiments.stream_seed
+
+        def failing(master, n, trial, label):
+            if (n, trial) == first:
+                time.sleep(0.05)
+            if (n, trial) in (first, second):
+                raise RuntimeError(f"trial n={n} seed={trial} failed")
+            return real(master, n, trial, label)
+
+        monkeypatch.setattr(experiments, "stream_seed", failing)
+        errors = []
+        for cpus in (1, 2):
+            _force_cpus(monkeypatch, cpus)
+            before = threading.active_count()
+            with pytest.raises(RuntimeError) as info:
+                run_experiment(cfg)
+            errors.append((type(info.value), str(info.value)))
+            assert threading.active_count() == before
+        assert errors[0] == errors[1] == (
+            RuntimeError, f"trial n={first[0]} seed=1 failed")
+
+    def test_one_trial_starts_no_thread(self, monkeypatch, thread_starts):
+        from knnrates import run_experiment
+
+        _force_cpus(monkeypatch, 2)
+        cfg = build_config(base_pairs(**{"ladder.n": "64",
+                                         "trial.seeds_per_n": "1"}))
+        assert len(run_experiment(cfg)) == 1
+        assert thread_starts == []
+
+    def test_usable_cpus(self, monkeypatch):
+        # The affinity set where the platform has one, else the machine's
+        # CPU count, and one CPU when even that is unknown.
+        import os
+
+        from knnrates.experiments import _usable_cpus
+
+        _force_cpus(monkeypatch, 3)
+        assert _usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert _usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == 1
+
+    def test_two_trials_peak_memory(self, monkeypatch):
+        # Two manifold trials at once, n = 8192 in R^10 with k = 408 and 512
+        # probes.  Each D >= 2 batch chunk holds _CHUNK_ENTRIES = 2^16 tree
+        # entries; traced peaks with numpy 2.4 and scipy 1.17 on x86-64:
+        # 7.0 MiB, against 10.4 MiB with 2^17 entries and 11.5-14.7 MiB with
+        # 2^20 (one chunk of all 512 rows).  Six trials give the two workers'
+        # chunks many chances to overlap.
+        import tracemalloc
+
+        from knnrates import run_experiment
+
+        _force_cpus(monkeypatch, 2)
+        cfg = build_config({
+            "experiment.kind": "regression", "seed.master": "11",
+            "ladder.n": "8192", "trial.seeds_per_n": "6",
+            "k.rule": "fixed", "k.fixed": "408", "probes.cells": "512",
+            "noise.kind": "gaussian", "noise.scale": "0.1",
+            "manifold.kind": "circle", "manifold.ambient_dim": "10",
+            "manifold.radius": "0.15915494309189535",
+            "manifold.rotate": "true", "manifold.rotation_seed": "7"})
+        probe_set(cfg)  # the rotation is cached before tracing starts
+        tracemalloc.start()
+        try:
+            records = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 6
+        assert peak < 9 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
