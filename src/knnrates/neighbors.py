@@ -14,11 +14,14 @@ coordinates at a fraction of its cost in low dimensions.
 
 In D = 1 the index is the stable sorted order of the coordinate and holds
 no tree, so no 1-D path loads scipy.  The neighbor set of a query is a
-contiguous run of that order: a binary search finds the query's k-point
-window, which is the whole set when both points just outside it are
-strictly farther than its farther end (an exact test), and otherwise two
-more binary searches widen it over the tied runs at both ends.  Scalar
-and batch queries run the same searches, so every row, a row whose
+contiguous run of that order around the query's k-point window, which is
+the whole set when both points just outside it are strictly farther than
+its farther end (an exact test), and otherwise two binary searches widen
+it over the tied runs at both ends.  A batch takes each window's start
+from one search of its queries over the midpoints of the points k apart,
+and keeps the start only where the exact window test certifies it; the
+other rows, and every scalar query, binary-search for it with that test.
+Both give the one start the test admits, so every row, a row whose
 squared distances overflow included, gets the oracle's answer.
 
 In D >= 2 the index is a scipy kd-tree, imported when the first one is
@@ -35,7 +38,11 @@ The mean of observations over a neighbor set (`predict_batch`, and
 divided by the member count, rounded once, so it does not depend on the
 order of the members.  The exact sums come from int64 limbs of the
 observations (`_limbs`); in D = 1 a row's sum is the difference of two
-prefix sums over the sorted order, so no row is gathered or sorted.
+prefix sums over the sorted order, so no row is gathered or sorted.  A
+batch rounds many rows' sums at once (`_means`, in int64 numpy with no
+Python int per row): a whole D = 1 chunk, and up to _MEAN_ROWS D >= 2
+rows together, tied or not.  A scalar mean divides one Python int
+(`_exact_mean`), the oracle the batch rounding is tested against.
 """
 
 from __future__ import annotations
@@ -76,6 +83,12 @@ _CHUNK_ENTRIES = 2 ** 16
 # Rows per D = 1 batch chunk.  A window row holds a few scalars whatever k
 # is, so the chunk is sized by rows alone.
 _CHUNK_ROWS_1D = 2 ** 16
+
+# A D >= 2 batch call rounds its rows' means this many at a time.  The
+# int64 temporaries of _means take near 150 bytes a row with two limbs,
+# so a large call keeps them near 2.5 MiB, while most calls pay its fixed
+# cost once.
+_MEAN_ROWS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -270,39 +283,61 @@ def knn_query(index: SpatialIndex, query, k: int) -> NeighborSet:
                        count=int(members.size))
 
 
-def _windows(xs: np.ndarray, q: np.ndarray, k: int):
+def _windows(xs: np.ndarray, q: np.ndarray, k: int, start=None):
     """Neighbor windows of 1-D queries over sorted coordinates `xs`.
 
-    A binary search finds, for each query, the start a of the window
-    xs[a:a+k] that a tie-free k-NN set must occupy.  Its squared radius r2
-    is the larger squared distance of the window's two ends, built with
+    Each query's window xs[a:a+k] is the one a tie-free k-NN set must
+    occupy.  The window moves right past a while xs[a+k] lies left of the
+    query or is strictly nearer than xs[a]; that test is monotone in a, so
+    a is the one start at which it holds at a-1 and fails at a.  `start`,
+    when given, is a guess at a (the midpoint search of _batch): a row
+    keeps its guess when the test certifies it, and every other row, or
+    every row without `start`, binary-searches for a.  The squared radius
+    r2 is the larger squared distance of the window's two ends, built with
     diff * diff as in _sq_dists; it is the row's k-th smallest squared
     distance, ties or not.  The row is `fast` only when both points just
     outside the window, a-1 and a+k, are strictly farther than r2: then the
     window is exactly the tie-inclusive neighbor set.  Returns
-    (a, r2, fast).
+    (a, r2, fast); `a` is `start` itself when given.
     """
     n = xs.shape[0]
     last = n - k
 
-    def sq(j):
+    def sq(j, q):
         diff = xs[j] - q
         return diff * diff
 
-    # The window moves right past a while xs[a+k] lies left of the query or
-    # is strictly nearer than xs[a].  That test is monotone in a, so the
-    # search reaches the tie-free window whenever one exists.
-    a = np.zeros(q.shape[0], dtype=np.intp)
-    step = 1 << (last.bit_length() - 1) if last else 0
-    while step:
-        c = a + step
-        j = np.minimum(c, last) - 1
-        right = (xs[j + k] < q) | (sq(j) > sq(j + k))
-        a = np.where((c <= last) & right, c, a)
-        step >>= 1
-    r2 = np.maximum(sq(a), sq(a + k - 1))
-    fast = ((a == 0) | (sq(np.maximum(a - 1, 0)) > r2)) & \
-        ((a == last) | (sq(np.minimum(a + k, n - 1)) > r2))
+    def search(q):
+        a = np.zeros(q.shape[0], dtype=np.intp)
+        step = 1 << (last.bit_length() - 1) if last else 0
+        while step:
+            c = a + step
+            j = np.minimum(c, last) - 1
+            right = (xs[j + k] < q) | (sq(j, q) > sq(j + k, q))
+            a = np.where((c <= last) & right, c, a)
+            step >>= 1
+        return a
+
+    def ends(a, q):
+        # Squared distances to xs[a-1], xs[a], xs[a+k-1] and xs[a+k], the
+        # outer two clamped into the order.
+        return (sq(np.maximum(a - 1, 0), q), sq(a, q), sq(a + k - 1, q),
+                sq(np.minimum(a + k, n - 1), q))
+
+    a = search(q) if start is None else start
+    before, first, end, after = ends(a, q)
+    if start is not None:
+        held = (a == 0) | (xs[a + k - 1] < q) | (before > end)
+        fails = (a == last) | ~((xs[np.minimum(a + k, n - 1)] < q) |
+                                (first > after))
+        wrong = np.flatnonzero(~(held & fails))
+        if wrong.size:
+            a[wrong] = search(q[wrong])
+            for got, fixed in zip((before, first, end, after),
+                                  ends(a[wrong], q[wrong])):
+                got[wrong] = fixed
+    r2 = np.maximum(first, end)
+    fast = ((a == 0) | (before > r2)) & ((a == last) | (after > r2))
     return a, r2, fast
 
 
@@ -367,37 +402,103 @@ def _limbs(y: np.ndarray):
 
 
 def _means(sums: np.ndarray, counts, bits: int, e: int) -> np.ndarray:
-    """Correctly rounded means from exact limb sums.
+    """Correctly rounded means from exact limb sums, in int64 alone.
 
     `sums` is the (limbs, rows) array of each row's limb sums over its
     members, in the scale of _limbs(y) (bits, e), and `counts` the member
-    count of each row (or one count for all).  Each row's exact sum S is
-    rebuilt as a Python int (in an object array) and divided with
-    int / int, which is correctly rounded; for e < 0, 2**-e goes into the
-    divisor so that a subnormal result is rounded once.
+    count m of each row (or one count for all): a row's mean is 2**e * S / m
+    with S the sum over l of sums[l] << (bits * l).  Carries are normalized
+    so that every digit of S but the top lies in [0, 2**bits), which gives
+    S the top's sign, and again for |S|.  A long division by m, top digit
+    first, gives the quotient digits (r << bits plus a digit stays below
+    m << bits <= 2**63), with zero digits appended below |S| until the
+    quotient has at least 62 bits.  Its top 62 bits, and a sticky bit for
+    any nonzero bit or remainder below them, round to nearest even at 53
+    bits, or at 2**-1074 below 2**-1022, and are packed into the result's
+    bits: the rounding of the one-row int / int in _exact_mean, bit for
+    bit, signed zeros included.
     """
-    total = sums[-1].astype(object)
-    for part in sums[-2::-1]:
-        total = (total << bits) + part.astype(object)
-    counts = np.asarray(counts).astype(object)
-    if e >= 0:
-        quotient = (total << e) / counts
-    else:
-        quotient = total / (counts << -e)
-    return quotient.astype(np.float64)
+    rows = sums.shape[1]
+    m = np.broadcast_to(np.asarray(counts, dtype=np.int64), (rows,))
+    digits = np.zeros((sums.shape[0] + 1, rows), dtype=np.int64)
+    digits[:-1] = sums
+    mask = (1 << bits) - 1
+
+    def carry():
+        for lo, hi in zip(digits[:-1], digits[1:]):
+            hi += lo >> bits
+            lo &= mask
+
+    carry()
+    neg = digits[-1] < 0
+    digits *= 1 - 2 * neg.astype(np.int64)
+    carry()
+    size = digits.shape[0]
+    while size > 1 and not digits[size - 1].any():
+        size -= 1
+    # The quotient of a nonzero |S| << (bits * x) has at least
+    # 1 + bits * x - bitlen(m) bits.
+    x = -(-(61 + int(m.max(initial=1)).bit_length()) // bits)
+    q = np.empty((size + x, rows), dtype=np.int64)
+    r = np.zeros(rows, dtype=np.int64)
+    for i in range(size + x - 1, -1, -1):
+        cur = r << bits
+        if i >= x:
+            cur += digits[i - x]
+        q[i], r = np.divmod(cur, m)
+    # The top nonzero quotient digit q[h] has t bits, so the quotient's top
+    # 62 bits start at bit p.
+    h = np.full(rows, q.shape[0] - 1)
+    top = q[-1].copy()
+    for digit in q[-2::-1]:
+        zero = top == 0
+        h -= zero
+        np.copyto(top, digit, where=zero)
+    t = np.frexp(top.astype(np.float64))[1].astype(np.int64)
+    t -= top < (1 << np.maximum(t - 1, 0))
+    p = bits * h + t - 62
+    window = np.zeros(rows, dtype=np.int64)
+    sticky = r != 0
+    for i, digit in enumerate(q):
+        # numpy gives 0 for a shift by 64 bits or more.
+        up = np.maximum(bits * i - p, 0)
+        down = up - (bits * i - p)
+        part = digit >> down
+        sticky |= (part << down) != digit
+        window |= part << up
+    # The window's top bit is 2**E; `drop` bits go below a normal
+    # result's 53, or below 2**-1074.
+    E = p + e - bits * x + 61
+    drop = np.minimum(np.maximum(-1013 - E, 9), 63)
+    kept = window >> drop
+    rest = window - (kept << drop)
+    half = 1 << (drop - 1)
+    kept += (rest > half) | ((rest == half) & (sticky | (kept & 1 == 1)))
+    # The mantissa's leading 1 (or a carry out of it) adds to the biased
+    # exponent E + 1022; a subnormal has none.
+    kept += (np.maximum(E + 1022, 0) * (window != 0)) << 52
+    kept |= neg.astype(np.int64) << 63
+    return kept.view(np.float64)
 
 
 def _exact_mean(values: np.ndarray) -> float:
-    """The correctly rounded mean of the 1-D array `values`."""
+    """The correctly rounded mean of the 1-D array `values`, the one-row
+    oracle of _means: the exact sum is rebuilt from the limb sums as a
+    Python int and divided with int / int, which is correctly rounded; for
+    e < 0, 2**-e goes into the divisor so that a subnormal result is
+    rounded once."""
     parts, bits, e = _limbs(values)
-    return float(_means(parts.sum(axis=1, keepdims=True), values.size, bits,
-                        e)[0])
+    total = 0
+    for part in reversed(parts.sum(axis=1).tolist()):
+        total = (total << bits) + part
+    m = values.size
+    return (total << e) / m if e >= 0 else total / (m << -e)
 
 
 def _tied_rows(index: SpatialIndex, qs: np.ndarray, r: np.ndarray, k: int,
-               limbs) -> np.ndarray:
-    """Radii (limbs None) or means, from the _limbs of y, for D >= 2 rows
-    settled together.
+               parts=None):
+    """Radii (parts None), or limb sums and member counts over the limbs
+    `parts` of y, for D >= 2 rows settled together.
 
     `r` holds each row's tree k-th distance widened by _REL_SLACK, the
     radius knn_query searches.  One counting ball query gives each row's
@@ -408,8 +509,9 @@ def _tied_rows(index: SpatialIndex, qs: np.ndarray, r: np.ndarray, k: int,
     takes one tree query: a dense (rows, width) block of candidates.
     _sq_dists over the block gives each row's k-th value r2 and its
     members d2 <= r2, the arithmetic of knn_query; one reduceat per limb
-    over the flat members sums every row.  A tree query holds at most
-    _TIE_ENTRIES candidate coordinates, or one row.
+    over the flat members sums every row, and the caller rounds the sums
+    with its other rows'.  A tree query holds at most _TIE_ENTRIES
+    candidate coordinates, or one row.
     """
     tree, pts = index._tree, index.source.points
     n, dim = pts.shape
@@ -418,7 +520,11 @@ def _tied_rows(index: SpatialIndex, qs: np.ndarray, r: np.ndarray, k: int,
     assert (sizes >= k).all()
     step = 2 ** np.maximum(np.frexp(sizes)[1] - 3, 0)
     widths = np.minimum(-(-sizes // step) * step, n)
-    out = np.empty(qs.shape[0], dtype=np.float64)
+    if parts is None:
+        radii = np.empty(qs.shape[0], dtype=np.float64)
+    else:
+        sums = np.empty((parts.shape[0], qs.shape[0]), dtype=np.int64)
+        counts = np.empty(qs.shape[0], dtype=np.int64)
     for m in np.unique(widths).tolist():
         group = np.flatnonzero(widths == m)
         rows = max(1, _TIE_ENTRIES // (m * dim))
@@ -428,39 +534,45 @@ def _tied_rows(index: SpatialIndex, qs: np.ndarray, r: np.ndarray, k: int,
             cand = tree.query(q, k=m)[1].reshape(sub.size, m)
             d2 = _sq_dists(pts[cand], q[:, None, :])
             r2 = np.partition(d2, k - 1, axis=1)[:, k - 1]
-            if limbs is None:
-                out[sub] = np.sqrt(r2)
+            if parts is None:
+                radii[sub] = np.sqrt(r2)
             else:
-                parts, bits, e = limbs
                 keep = d2 <= r2[:, None]
-                counts = keep.sum(axis=1)
-                flat, starts = cand[keep], np.cumsum(counts) - counts
-                sums = np.stack([np.add.reduceat(part[flat], starts)
-                                 for part in parts])
-                out[sub] = _means(sums, counts, bits, e)
-    return out
+                counts[sub] = keep.sum(axis=1)
+                flat = cand[keep]
+                starts = np.cumsum(counts[sub]) - counts[sub]
+                sums[:, sub] = np.stack([np.add.reduceat(part[flat], starts)
+                                         for part in parts])
+    return radii if parts is None else (sums, counts)
 
 
 def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     """The chunked kernel under knn_radii (y None) and predict_batch (the
     mean of y over each row's neighbor set).
 
-    In D = 1 each chunk takes the window search of _windows: every row's
-    squared radius is its window's r2, a fast row's members are its window,
-    and any other row's members are the run _widen finds, an infinite r2
+    In D = 1 each row's window start comes from one search of the queries
+    over the midpoints 0.5 * xs[j] + 0.5 * xs[j+k] (a form that cannot
+    overflow), made per call; _windows certifies each start with its exact
+    test, and only the rows it fails binary-search.  Every row's squared
+    radius is its window's r2, a fast row's members are its window, and
+    any other row's members are the run _widen finds, an infinite r2
     included; either way a row's limb sums are the differences of the
     prefix sums at the ends of its run.  In D >= 2 each chunk takes one k+1
     tree query.  Rows with a clear distance gap after the k-th neighbor are
-    settled from it: a mean over their k tree neighbors (summed one limb at
-    a time), or, for radii, the max exact distance over the few candidates
+    settled from it: limb sums over their k tree neighbors (one limb at a
+    time), or, for radii, the max exact distance over the few candidates
     near the k-th (at most _TAIL_CAP).  The other rows with a finite tree
     k-th distance are settled together by _tied_rows, and only rows whose
     tree k-th distance is not finite (it bounds no candidate set) take
-    knn_query.  Every mean is the correctly rounded one (_means), and every
-    row gets the bits of a scalar loop.  A D = 1 chunk holds _CHUNK_ROWS_1D
-    rows; a D >= 2 chunk holds _CHUNK_ENTRIES (2^16) entries of k+1, about
-    2 MiB at its peak, or one row when k+1 alone exceeds that.  Rows are
-    settled independently, so the chunk size changes no bit of the output.
+    knn_query.  _means rounds the limb sums of a D = 1 chunk at once; D >=
+    2 chunks are small, so each row's limb sums and member count go into
+    one (limbs, rows) array for the call, rounded _MEAN_ROWS rows at a
+    time (once for most calls).  Every mean is the correctly rounded one,
+    so every row gets the bits of a scalar loop.  A D = 1 chunk holds
+    _CHUNK_ROWS_1D rows; a D >= 2 chunk holds _CHUNK_ENTRIES (2^16)
+    entries of k+1, about 2 MiB at its peak, or one row when k+1 alone
+    exceeds that.  Rows are settled independently, so the chunk size
+    changes no bit of the output.
     """
     ps = index.source
     Q = np.asarray(queries, dtype=np.float64)
@@ -471,28 +583,35 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     if not np.isfinite(Q).all():
         raise ValueError("query contains non-finite coordinates")
     k = _check_k(k, ps.n)
-    out = np.empty(Q.shape[0], dtype=np.float64)
-    limbs = None
     order, xs = index._order, index._xs
+    out = np.empty(Q.shape[0], dtype=np.float64)
+    if y is not None:
+        # A permutation keeps the limbs' scale, so in D = 1 take the limbs
+        # of y in sorted order.
+        parts, bits, e = _limbs(y if order is None else y[order])
     if order is not None:
         rows = _CHUNK_ROWS_1D
+        mids = 0.5 * xs[:ps.n - k] + 0.5 * xs[k:]
         if y is not None:
-            # A permutation keeps the limbs' scale, so take the limbs of y
-            # in sorted order and keep only their prefix sums.
-            parts, bits, e = _limbs(y[order])
+            # Only the limbs' prefix sums are kept.
             prefix = np.zeros((parts.shape[0], ps.n + 1), dtype=np.int64)
             np.cumsum(parts, axis=1, out=prefix[:, 1:])
             del parts
     else:
         rows = max(1, _CHUNK_ENTRIES // (k + 1))
         if y is not None:
-            limbs = _limbs(y)
-            parts, bits, e = limbs
+            sums = np.empty((parts.shape[0], Q.shape[0]), dtype=np.int64)
+            counts = np.empty(Q.shape[0], dtype=np.int64)
     for lo in range(0, Q.shape[0], rows):
         qc = Q[lo:lo + rows]
         block = out[lo:lo + rows]
         if order is not None:
-            a, r2, fast = _windows(xs, qc[:, 0], k)
+            qx = qc[:, 0]
+            # searchsorted runs several times faster over sorted keys.
+            by = np.argsort(qx)
+            start = np.empty_like(by)
+            start[by] = np.searchsorted(mids, qx[by])
+            a, r2, fast = _windows(xs, qx, k, start)
             if y is None:
                 block[:] = np.sqrt(r2)
             else:
@@ -500,35 +619,47 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
                 tied = np.flatnonzero(~fast)
                 if tied.size:
                     run_lo[tied], run_hi[tied] = _widen(
-                        xs, qc[tied, 0], r2[tied], a[tied], k)
+                        xs, qx[tied], r2[tied], a[tied], k)
                 block[:] = _means(prefix[:, run_hi] - prefix[:, run_lo],
                                   run_hi - run_lo, bits, e)
+            continue
+        d, idx = index._tree.query(qc, k=k + 1)
+        dk = d[:, k - 1]
+        fast = d[:, k] > dk * (1.0 + _REL_SLACK)
+        if y is None:
+            tail = (d[:, :k] >= (dk * (1.0 - _REL_SLACK))[:, None]).sum(axis=1)
+            fast &= tail <= _TAIL_CAP
+            if fast.any():
+                t = int(tail[fast].max())
+                d2 = _sq_dists(ps.points[idx[fast, k - t:k]],
+                               qc[fast][:, None, :])
+                block[fast] = np.sqrt(d2.max(axis=1))
         else:
-            d, idx = index._tree.query(qc, k=k + 1)
-            dk = d[:, k - 1]
-            fast = d[:, k] > dk * (1.0 + _REL_SLACK)
-            if limbs is None:
-                tail = (d[:, :k] >= (dk * (1.0 - _REL_SLACK))[:, None]).sum(axis=1)
-                fast &= tail <= _TAIL_CAP
-                if fast.any():
-                    t = int(tail[fast].max())
-                    d2 = _sq_dists(ps.points[idx[fast, k - t:k]],
-                                   qc[fast][:, None, :])
-                    block[fast] = np.sqrt(d2.max(axis=1))
+            block_s, block_n = sums[:, lo:lo + rows], counts[lo:lo + rows]
+            members = idx[fast, :k]
+            block_s[:, fast] = np.stack([part[members].sum(axis=1)
+                                         for part in parts])
+            block_n[fast] = k
+        tied = np.flatnonzero(~fast & np.isfinite(dk))
+        if tied.size:
+            got = _tied_rows(index, qc[tied], dk[tied] * (1.0 + _REL_SLACK),
+                             k, None if y is None else parts)
+            if y is None:
+                block[tied] = got
             else:
-                members = idx[fast, :k]
-                block[fast] = _means(np.stack([part[members].sum(axis=1)
-                                               for part in parts]),
-                                     k, bits, e)
-            tied = np.flatnonzero(~fast & np.isfinite(dk))
-            if tied.size:
-                block[tied] = _tied_rows(index, qc[tied],
-                                         dk[tied] * (1.0 + _REL_SLACK), k,
-                                         limbs)
-            for row in np.flatnonzero(~fast & ~np.isfinite(dk)):
-                ns = knn_query(index, qc[row], k)
-                block[row] = ns.radius if y is None else \
-                    _exact_mean(y[ns.member_indices])
+                block_s[:, tied], block_n[tied] = got
+        for row in np.flatnonzero(~fast & ~np.isfinite(dk)):
+            ns = knn_query(index, qc[row], k)
+            if y is None:
+                block[row] = ns.radius
+            else:
+                block_s[:, row] = parts[:, ns.member_indices].sum(axis=1)
+                block_n[row] = ns.count
+    if y is not None and order is None:
+        for lo in range(0, Q.shape[0], _MEAN_ROWS):
+            out[lo:lo + _MEAN_ROWS] = _means(sums[:, lo:lo + _MEAN_ROWS],
+                                             counts[lo:lo + _MEAN_ROWS],
+                                             bits, e)
     return out
 
 

@@ -3,6 +3,8 @@ arithmetic-exact equivariances on dyadic data, and input validation."""
 
 
 import dataclasses
+import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -418,7 +420,8 @@ class TestExactMeans:
     @example(data=(LINE, LINE_Y), k_pick=2)
     @example(data=(np.column_stack([LINE, LINE[:, :1]]), LINE_Y), k_pick=2)
     @example(data=(LINE, LINE_Y[::-1]), k_pick=3)
-    @settings(max_examples=300, deadline=None)
+    # 300 examples, ten times that under --hypothesis-profile=deep.
+    @settings(max_examples=3 * settings.default.max_examples, deadline=None)
     def test_every_path_equals_exact_oracle(self, data, k_pick):
         X, y = data
         n, dim = X.shape
@@ -437,6 +440,196 @@ class TestExactMeans:
                 reg.index, _tree=InfTree(reg.index._tree,
                                          lambda q: q[..., 0] > cut)), k)
             assert np.array_equal(bits(predict_batch(blind, Q)), want)
+
+
+def limb_sums(S, n, L, shuffle=0, seed=0):
+    """S as L limb sums of bits = 63 - n.bit_length() bits, the scale of
+    _limbs over n observations: the digits of |S| with S's sign, then
+    `shuffle` random moves of one unit between neighboring limbs (S is
+    unchanged), so the limbs carry mixed signs and values past 2**bits, as
+    member sums do."""
+    bits = 63 - n.bit_length()
+    sign, mag = (1 if S >= 0 else -1), abs(S)
+    digits = [sign * ((mag >> (bits * l)) & ((1 << bits) - 1))
+              for l in range(L - 1)] + [sign * (mag >> (bits * (L - 1)))]
+    rng = np.random.default_rng(seed)
+    for _ in range(shuffle if L > 1 and n > 4 else 0):
+        l, c = int(rng.integers(0, L - 1)), int(rng.integers(-1, 2))
+        digits[l] += c << bits
+        digits[l + 1] -= c
+    assert all(abs(d) <= n * ((1 << bits) - 1) for d in digits)
+    return digits
+
+
+def fraction_mean(S, m, e):
+    return float(Fraction(S) * Fraction(2) ** e / m)
+
+
+def assert_means(cases, n, L, e):
+    """_means over the rows (S, m) equals float(Fraction(S) * 2**e / m) bit
+    for bit, from plain and from shuffled limbs."""
+    for shuffle in (0, 3):
+        sums = np.array([limb_sums(S, n, L, shuffle, seed=i)
+                         for i, (S, _) in enumerate(cases)],
+                        dtype=np.int64).T.reshape(L, -1)
+        counts = np.array([m for _, m in cases], dtype=np.int64)
+        got = neighbors._means(sums, counts, 63 - n.bit_length(), e)
+        want = [fraction_mean(S, m, e) for S, m in cases]
+        assert np.array_equal(bits(got), bits(want)), (cases, e)
+
+
+class TestMeansRounding:
+    """The vectorized _means at its rounding edges, against
+    float(Fraction(S) / m): ties to even, signed zeros, the subnormal
+    boundary and underflow, many limbs and large counts."""
+
+    N = 2 ** 20
+
+    def test_exact_midpoints_round_to_even(self):
+        # (2M + 1) / 2 lies half-way between the integers M and M + 1 of
+        # the binade [2**52, 2**53): M even stays, M odd rounds up.  Just
+        # off the midpoint the sticky bit decides.
+        cases = []
+        for M in (2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1,
+                  2 ** 52 + 12345, 2 ** 52 + 12346):
+            for m in (1, 3, 1000, self.N - 1):
+                cases += [(m * (2 * M + 1), m), (-m * (2 * M + 1), m),
+                          (m * (2 * M + 1) + 1, m), (m * (2 * M + 1) - 1, m)]
+        assert_means(cases, self.N, 3, -1)
+        # The same in the subnormals: (2j + 1) * 2**-1075.
+        cases = [(m * (2 * j + 1) << 60, m) for j in (0, 1, 2, 3, 2 ** 51)
+                 for m in (1, 7, self.N)]
+        assert_means(cases, self.N, 3, -1135)
+
+    def test_cancelling_and_negative_sums(self):
+        # S = 0 from nonzero limbs is +0.0; a negative S that underflows
+        # keeps its sign.
+        bits_ = 63 - self.N.bit_length()
+        B = 1 << bits_
+        sums = np.array([[B, -1, 0], [-B, 1, 0], [0, B, -1],
+                         [B, B - 1, -1], [0, 0, 0]], dtype=np.int64).T
+        got = neighbors._means(sums, np.array([1, 3, 7, 9, 11]), bits_, -20)
+        assert np.array_equal(bits(got), bits([0.0] * 5))
+        cases = [(-S, m) for S in (1, 3, 2 ** 80 + 1, 2 ** 100 - 1)
+                 for m in (1, 2, 3, self.N)]
+        assert_means(cases, self.N, 3, -10)
+        assert_means(cases, self.N, 3, -1140)
+
+    def test_subnormal_boundary_and_underflow(self):
+        # 2**e * S / m near 2**-1022 (the smallest normal) and 2**-1074
+        # (the smallest subnormal), with e = -1100: 2**-1022 is m * 2**78,
+        # 2**-1074 is m * 2**26.
+        cases = []
+        for m in (1, 3, 1000, self.N):
+            for S in (2 ** 78, 2 ** 78 - 1, 2 ** 78 + 1, 2 ** 78 - 2 ** 26,
+                      2 ** 78 - 2 ** 25, 2 ** 78 + 2 ** 25, 2 ** 78 + 2 ** 26,
+                      2 ** 26, 2 ** 25, 2 ** 25 + 1, 2 ** 25 - 1, 2 ** 24,
+                      3 * 2 ** 25, 1):
+                cases += [(m * S, m), (m * S + 1, m), (m * S - 1, m),
+                          (-m * S, m)]
+        assert_means(cases, self.N, 3, -1100)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 7])
+    def test_limbs_and_counts(self, L):
+        rand = random.Random(L)
+        for n in (1, 2, 1000, self.N):
+            top = (63 - n.bit_length()) * L
+            cases = [(rand.choice([-1, 1]) *
+                      rand.getrandbits(rand.randint(1, top)),
+                      rand.randint(1, n)) for _ in range(40)]
+            for e in (-1200, -1074, -60, 0, 500 - top):
+                assert_means(cases, n, L, e)
+
+    def test_zero_rows(self):
+        got = neighbors._means(np.zeros((3, 0), dtype=np.int64),
+                               np.zeros(0, dtype=np.int64), 42, -5)
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    @given(st.sampled_from([1, 2, 100, 2 ** 16, 2 ** 20]), st.data())
+    @settings(deadline=None)
+    def test_random_rows_equal_fraction(self, n, data):
+        L = data.draw(st.integers(1, 5))
+        bits_ = 63 - n.bit_length()
+        bound = n * ((1 << bits_) - 1)
+        rows = data.draw(st.integers(0, 6))
+        sums = np.array(data.draw(st.lists(
+            st.lists(st.integers(-bound, bound), min_size=rows,
+                     max_size=rows), min_size=L, max_size=L)),
+            dtype=np.int64).reshape(L, rows)
+        counts = np.array(data.draw(st.lists(st.integers(1, n),
+                                             min_size=rows, max_size=rows)),
+                          dtype=np.int64)
+        e = data.draw(st.integers(-1300, 900 - bits_ * L))
+        want = [fraction_mean(sum(int(v) << (bits_ * l)
+                                  for l, v in enumerate(sums[:, i])),
+                              int(counts[i]), e) for i in range(rows)]
+        assert np.array_equal(bits(neighbors._means(sums, counts, bits_, e)),
+                              bits(want))
+
+
+@st.composite
+def window_data(draw):
+    """Sorted-order data for the 1-D window start: small integers with
+    duplicates, in unit steps, in subnormal steps, or in steps of one ulp
+    below +-1.7e308, where (a + b) / 2 of two points overflows.  Queries
+    are the points, the midpoints between neighbors and one point beyond
+    each end."""
+    ints = np.asarray(draw(st.lists(st.integers(0, 6), min_size=1,
+                                    max_size=30)), dtype=float)
+    kind = draw(st.sampled_from(["unit", "subnormal", "huge"]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "unit":
+        step, base = 1.0, -3.0
+    elif kind == "subnormal":
+        step, base = draw(st.sampled_from([2.0 ** -1074, 2.0 ** -1071])), 0.0
+    else:
+        step, base = 2.0 ** 971, 1.7e308
+    vals = sign * (base - ints * step)
+    xs = np.unique(vals)
+    Q = np.concatenate([vals, 0.5 * xs[:-1] + 0.5 * xs[1:],
+                        [xs[0] - step, xs[-1] + step]])
+    return vals, Q
+
+
+class TestWindowStart:
+    """The 1-D batch kernel's window start from the midpoint search, once
+    certified by the exact test, gives the scalar loop's bits, and adds no
+    overflow of its own."""
+
+    # The midpoint of 1 and 2**53 + 2 rounds to 2**52 + 2, so the search
+    # puts the query 2**52 + 2 left of it, while its squared distance to 1
+    # is the larger: the window starts at 1, not 0.
+    WRONG_GUESS = (np.array([1.0, 2.0 ** 53 + 2]), np.array([2.0 ** 52 + 2]))
+
+    def test_midpoint_guess_can_be_wrong(self):
+        xs, q = self.WRONG_GUESS
+        guess = np.searchsorted(0.5 * xs[:1] + 0.5 * xs[1:], q)
+        assert guess[0] == 0 and neighbors._windows(xs, q, 1)[0][0] == 1
+
+    @given(window_data(), st.integers(min_value=1, max_value=30),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(data=WRONG_GUESS, k_pick=1, seed=0)
+    @example(data=(np.full(5, 1.7e308), np.full(2, 1.7e308)), k_pick=2,
+             seed=0)
+    @settings(deadline=None)
+    def test_batch_equals_scalar(self, data, k_pick, seed):
+        vals, Q = data
+        n = vals.size
+        k = (k_pick - 1) % n + 1
+        y = np.random.default_rng(seed).standard_normal(n)
+        reg = make_regressor(data1d(vals, y), k)
+        with np.errstate(over="ignore"):
+            quiet = np.isfinite(np.subtract.outer(Q, vals) ** 2).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # Squared distances that overflow warn on the scalar path too;
+            # only inputs without one show that the search adds none.
+            with np.errstate(over="warn" if quiet else "ignore"):
+                got = predict_batch(reg, Q), knn_radii(reg.index, Q, k)
+                want = ([predict(reg, [q]) for q in Q],
+                        [knn_query(reg.index, [q], k).radius for q in Q])
+        assert np.array_equal(bits(got[0]), bits(want[0]))
+        assert np.array_equal(bits(got[1]), bits(want[1]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
