@@ -17,13 +17,11 @@ from .experiments import (ConfigError, CoverageResult, DegenerateFitError,
 from .neighbors import (NeighborSet, PointSet, SpatialIndex, brute_force_knn,
                         build_index, knn_query, knn_radii)
 from .regression import (Dataset, FieldMetadata, Regressor, ScalarField,
-                         SupErrorResult, make_regressor, predict,
-                         predict_batch, sup_error)
+                         make_regressor, predict, predict_batch, sup_error)
 from .structures import (LevelSetEstimate, MaximaEstimate, PointCloud,
-                         cloud_from_level_set, count_distinct_knn_sets,
-                         estimate_level_set, estimate_maxima,
-                         hausdorff_distance, hausdorff_distance_bruteforce,
-                         true_level_set_grid)
+                         count_distinct_knn_sets, estimate_level_set,
+                         estimate_maxima, hausdorff_distance,
+                         hausdorff_distance_bruteforce, true_level_set_grid)
 from .synth import (DensitySpec, ManifoldSample, ManifoldSpec, NoiseSpec,
                     embed_manifold, embed_points, halton_probes, make_field,
                     manifold_field, manifold_probe_grid, sample_noise,

@@ -24,7 +24,7 @@ from .bounds import (BoundParams, MissingParameterError, k_range_check,
                      knn_set_count_bound, level_set_epsilon, optimal_k)
 from .neighbors import knn_radii
 from .regression import Dataset, ScalarField, make_regressor, sup_error
-from .structures import (cloud_from_level_set, count_distinct_knn_sets,
+from .structures import (PointCloud, count_distinct_knn_sets,
                          estimate_level_set, estimate_maxima,
                          hausdorff_distance, true_level_set_grid)
 from .synth import (DensitySpec, ManifoldSpec, NoiseSpec, embed_manifold,
@@ -146,11 +146,12 @@ class ExperimentConfig:
             raise ConfigError("level.m2: must be nonnegative and finite")
         if self.density is None and self.manifold is None:
             raise ConfigError("density.kind or manifold.kind is required")
-        # probe_set and run_levelset lay a grid of probe_cells per axis over
-        # the arc length or a box of up to two dimensions (any dimension
-        # for levelset); other boxes take a Halton cloud of probe_count.
+        # probe_set lays probe_cells points along a manifold's arc length;
+        # it and run_levelset lay probe_cells + 1 points per axis over a box
+        # of up to two dimensions (any dimension for levelset); other boxes
+        # take a Halton cloud of probe_count.
         if self.manifold is not None:
-            grid = self.probe_cells + 1
+            grid = self.probe_cells
         elif self.density.dim <= 2 or self.kind == "levelset":
             grid = (self.probe_cells + 1) ** self.density.dim
         else:
@@ -358,7 +359,7 @@ def run_regression_rate(cfg: ExperimentConfig) -> list:
         lambda params, n, k: {"sup_error": _try(
             bnd.holder_bound, params, n, k, manifold=manifold)},
         lambda data, k: [("sup_error",
-                          sup_error(make_regressor(data, k), fld, probes).sup)])
+                          sup_error(make_regressor(data, k), fld, probes))])
 
 
 @dataclass(frozen=True)
@@ -391,7 +392,7 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
 
     def measure(data, k):
         reg = make_regressor(data, k)
-        return [("sup_error", sup_error(reg, fld, probes).sup),
+        return [("sup_error", sup_error(reg, fld, probes)),
                 ("radius_max",
                  float(knn_radii(reg.index, probes.points, k).max()))]
 
@@ -426,7 +427,7 @@ def run_levelset(cfg: ExperimentConfig) -> list:
         est = estimate_level_set(reg, lam, eps)
         if truth.size == 0 or est.member_indices.size == 0:
             return [("d_H", float("nan"))]
-        return [("d_H", hausdorff_distance(cloud_from_level_set(est, D),
+        return [("d_H", hausdorff_distance(PointCloud(D, est.member_points),
                                            truth))]
 
     return _run_trials(

@@ -26,9 +26,10 @@ squared distances overflow included, gets the oracle's answer.
 
 In D >= 2 the index is a scipy kd-tree, imported when the first one is
 built, and used only to produce candidate supersets; the final radius and
-member set always come from the shared arithmetic.  Batch queries (`knn_radii`, and `predict_batch` in the
-regression module) run one chunked kernel that takes a k+1 tree query per
-chunk; rows with a clear gap after the k-th neighbor are settled from it,
+member set always come from the shared arithmetic.  Batch queries
+(`knn_radii`, and `predict_batch` in the regression module) run one
+chunked kernel that takes a k+1 tree query per chunk; a row with a clear
+gap after the k-th neighbor has its k tree neighbors as its whole set,
 and the rows that tie there are settled together, grouped by the size of
 their candidate balls.  Only rows whose tree k-th distance is not finite
 take the single-query path.
@@ -39,10 +40,10 @@ divided by the member count, rounded once, so it does not depend on the
 order of the members.  The exact sums come from int64 limbs of the
 observations (`_limbs`); in D = 1 a row's sum is the difference of two
 prefix sums over the sorted order, so no row is gathered or sorted.  A
-batch rounds many rows' sums at once (`_means`, in int64 numpy with no
-Python int per row): a whole D = 1 chunk, and up to _MEAN_ROWS D >= 2
-rows together, tied or not.  A scalar mean divides one Python int
-(`_exact_mean`), the oracle the batch rounding is tested against.
+batch rounds up to _MEAN_ROWS rows' sums at once, tied or not (`_means`,
+in int64 numpy with no Python int per row).  A scalar mean divides one
+Python int (`_exact_mean`), the oracle the batch rounding is tested
+against.
 """
 
 from __future__ import annotations
@@ -61,33 +62,27 @@ if TYPE_CHECKING:
 # superset margin while adding essentially no spurious candidates.
 _REL_SLACK = 1e-9
 
-# knn_radii settles a D >= 2 row from its tree query only when at most this
-# many candidates share (or nearly share) its k-th distance; the others are
-# settled with the tied rows.
-_TAIL_CAP = 8
-
 # Tied D >= 2 rows are settled in sub-batches of at most this many
 # (row, candidate) coordinates.  A D = 2 sub-batch peaks near 80 bytes a
 # candidate, about 0.6 MiB, so settling ties adds little to the peak
 # memory of a batch call.
 _TIE_ENTRIES = 2 ** 14
 
-# Tree-query entries (rows x (k+1)) per D >= 2 batch chunk.  A chunk peaks
-# near 32 bytes per entry (tree distances and indices plus the reductions'
-# temporaries), so a batch call stays near 2 MiB whatever k is.  A study
-# runs one trial per usable CPU at once, each with its own chunks, so the
-# chunk is kept small enough that those working sets add little to a
-# process's peak memory.
+# Entries per batch chunk: a D >= 2 row counts its k+1 tree-query entries,
+# a D = 1 row one (its window holds a few scalars whatever k is).  A D >= 2
+# chunk peaks near 32 bytes per entry (tree distances and indices plus the
+# reductions' temporaries), and a knn_radii chunk adds 8 * D bytes per
+# entry for the coordinates of its gap rows' neighbors, so in low
+# dimensions a batch call stays near 2 MiB whatever k is.  A study runs
+# one trial per usable CPU at once, each with its own chunks, so the chunk
+# is kept small enough that those working sets add little to a process's
+# peak memory.
 _CHUNK_ENTRIES = 2 ** 16
 
-# Rows per D = 1 batch chunk.  A window row holds a few scalars whatever k
-# is, so the chunk is sized by rows alone.
-_CHUNK_ROWS_1D = 2 ** 16
-
-# A D >= 2 batch call rounds its rows' means this many at a time.  The
-# int64 temporaries of _means take near 150 bytes a row with two limbs,
-# so a large call keeps them near 2.5 MiB, while most calls pay its fixed
-# cost once.
+# A batch call rounds its rows' means this many at a time.  The int64
+# temporaries of _means take near 150 bytes a row with two limbs, so a
+# large call keeps them near 2.5 MiB, while most calls pay its fixed cost
+# once.
 _MEAN_ROWS = 2 ** 14
 
 
@@ -258,16 +253,17 @@ def knn_query(index: SpatialIndex, query, k: int) -> NeighborSet:
     """Tie-inclusive k-NN query, exactly equivalent to brute_force_knn.
 
     In D = 1 it is one row of the batch kernel: the window of _windows,
-    widened over ties by _widen.  In D >= 2 a tree query for the k-th
-    distance bounds a ball query, whose candidates are refined exactly.
+    widened over ties by _widen unless the window is fast.  In D >= 2 a
+    tree query for the k-th distance bounds a ball query, whose candidates
+    are refined exactly.
     """
     ps = index.source
     q = _check_query(query, ps.dim)
     k = _check_k(k, ps.n)
     order, xs = index._order, index._xs
     if order is not None:
-        a, r2, _ = _windows(xs, q, k)
-        lo, hi = _widen(xs, q, r2, a, k)
+        a, r2, fast = _windows(xs, q, k)
+        lo, hi = (a, a + k) if fast[0] else _widen(xs, q, r2, a, k)
         r2, members = r2[0], np.sort(order[lo[0]:hi[0]])
     else:
         dists = np.atleast_1d(index._tree.query(q, k=k)[0])
@@ -558,20 +554,18 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     any other row's members are the run _widen finds, an infinite r2
     included; either way a row's limb sums are the differences of the
     prefix sums at the ends of its run.  In D >= 2 each chunk takes one k+1
-    tree query.  Rows with a clear distance gap after the k-th neighbor are
-    settled from it: limb sums over their k tree neighbors (one limb at a
-    time), or, for radii, the max exact distance over the few candidates
-    near the k-th (at most _TAIL_CAP).  The other rows with a finite tree
-    k-th distance are settled together by _tied_rows, and only rows whose
-    tree k-th distance is not finite (it bounds no candidate set) take
-    knn_query.  _means rounds the limb sums of a D = 1 chunk at once; D >=
-    2 chunks are small, so each row's limb sums and member count go into
-    one (limbs, rows) array for the call, rounded _MEAN_ROWS rows at a
-    time (once for most calls).  Every mean is the correctly rounded one,
-    so every row gets the bits of a scalar loop.  A D = 1 chunk holds
-    _CHUNK_ROWS_1D rows; a D >= 2 chunk holds _CHUNK_ENTRIES (2^16)
-    entries of k+1, about 2 MiB at its peak, or one row when k+1 alone
-    exceeds that.  Rows are settled independently, so the chunk size
+    tree query.  A row with a clear distance gap after the k-th neighbor
+    has its k tree neighbors as its whole set: its radius is the max exact
+    distance over them, its limb sums are theirs (one limb at a time).  The
+    other rows with a finite tree k-th distance are settled together by
+    _tied_rows, and only rows whose tree k-th distance is not finite (it
+    bounds no candidate set) take knn_query.  Every row's limb sums and
+    member count go into one (limbs, rows) array for the call, and _means
+    rounds it _MEAN_ROWS rows at a time (once for most calls).  Every mean
+    is the correctly rounded one, so every row gets the bits of a scalar
+    loop.  A chunk holds _CHUNK_ENTRIES (2^16) entries, one per D = 1 row
+    and k+1 per D >= 2 row (about 2 MiB at its peak), or one row when k+1
+    alone exceeds that.  Rows are settled independently, so the chunk size
     changes no bit of the output.
     """
     ps = index.source
@@ -589,8 +583,10 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
         # A permutation keeps the limbs' scale, so in D = 1 take the limbs
         # of y in sorted order.
         parts, bits, e = _limbs(y if order is None else y[order])
+        sums = np.empty((parts.shape[0], Q.shape[0]), dtype=np.int64)
+        counts = np.empty(Q.shape[0], dtype=np.int64)
     if order is not None:
-        rows = _CHUNK_ROWS_1D
+        rows = _CHUNK_ENTRIES
         mids = 0.5 * xs[:ps.n - k] + 0.5 * xs[k:]
         if y is not None:
             # Only the limbs' prefix sums are kept.
@@ -599,12 +595,12 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
             del parts
     else:
         rows = max(1, _CHUNK_ENTRIES // (k + 1))
-        if y is not None:
-            sums = np.empty((parts.shape[0], Q.shape[0]), dtype=np.int64)
-            counts = np.empty(Q.shape[0], dtype=np.int64)
     for lo in range(0, Q.shape[0], rows):
         qc = Q[lo:lo + rows]
-        block = out[lo:lo + rows]
+        if y is None:
+            block = out[lo:lo + rows]
+        else:
+            block_s, block_n = sums[:, lo:lo + rows], counts[lo:lo + rows]
         if order is not None:
             qx = qc[:, 0]
             # searchsorted runs several times faster over sorted keys.
@@ -620,23 +616,17 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
                 if tied.size:
                     run_lo[tied], run_hi[tied] = _widen(
                         xs, qx[tied], r2[tied], a[tied], k)
-                block[:] = _means(prefix[:, run_hi] - prefix[:, run_lo],
-                                  run_hi - run_lo, bits, e)
+                np.subtract(prefix[:, run_hi], prefix[:, run_lo], out=block_s)
+                np.subtract(run_hi, run_lo, out=block_n)
             continue
         d, idx = index._tree.query(qc, k=k + 1)
         dk = d[:, k - 1]
         fast = d[:, k] > dk * (1.0 + _REL_SLACK)
+        members = idx[fast, :k]
         if y is None:
-            tail = (d[:, :k] >= (dk * (1.0 - _REL_SLACK))[:, None]).sum(axis=1)
-            fast &= tail <= _TAIL_CAP
-            if fast.any():
-                t = int(tail[fast].max())
-                d2 = _sq_dists(ps.points[idx[fast, k - t:k]],
-                               qc[fast][:, None, :])
-                block[fast] = np.sqrt(d2.max(axis=1))
+            d2 = _sq_dists(ps.points[members], qc[fast][:, None, :])
+            block[fast] = np.sqrt(d2.max(axis=1))
         else:
-            block_s, block_n = sums[:, lo:lo + rows], counts[lo:lo + rows]
-            members = idx[fast, :k]
             block_s[:, fast] = np.stack([part[members].sum(axis=1)
                                          for part in parts])
             block_n[fast] = k
@@ -655,7 +645,7 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
             else:
                 block_s[:, row] = parts[:, ns.member_indices].sum(axis=1)
                 block_n[row] = ns.count
-    if y is not None and order is None:
+    if y is not None:
         for lo in range(0, Q.shape[0], _MEAN_ROWS):
             out[lo:lo + _MEAN_ROWS] = _means(sums[:, lo:lo + _MEAN_ROWS],
                                              counts[lo:lo + _MEAN_ROWS],
@@ -668,10 +658,10 @@ def knn_radii(index: SpatialIndex, queries, k: int) -> np.ndarray:
 
     In D = 1 every row takes sqrt(r2) of its sorted window, infinite when
     its squared distances overflow.  In D >= 2, rows with a clear gap after
-    the k-th neighbor and few candidates near it take the max exact
-    distance over those candidates, and the other rows the k-th exact
-    distance over their grouped candidate blocks (_tied_rows).  Only D >= 2
-    rows whose tree k-th distance is not finite take knn_query.  The result
-    matches a knn_query loop bit for bit.
+    the k-th neighbor take the max exact distance over their k tree
+    neighbors, and the other rows the k-th exact distance over their
+    grouped candidate blocks (_tied_rows).  Only D >= 2 rows whose tree
+    k-th distance is not finite take knn_query.  The result matches a
+    knn_query loop bit for bit.
     """
     return _batch(index, queries, k)

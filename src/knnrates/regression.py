@@ -118,20 +118,11 @@ def predict_batch(reg: Regressor, queries) -> np.ndarray:
     return _batch(reg.index, queries, reg.k, reg.data.y)
 
 
-@dataclass(frozen=True)
-class SupErrorResult:
-    sup: float
-    argmax_probe: int
-    per_probe: np.ndarray
-
-
-def sup_error(reg: Regressor, fld: ScalarField, probes) -> SupErrorResult:
-    """Max over probe points of |prediction - truth| (grid surrogate for the
-    sup over the whole domain)."""
+def sup_error(reg: Regressor, fld: ScalarField, probes) -> float:
+    """The largest |prediction - truth| over the probe points, a float (grid
+    surrogate for the sup over the whole domain)."""
     ps = as_point_set(probes)
     if ps.dim != reg.data.x.dim:
         raise ValueError("probe dimension does not match the dataset")
     preds = predict_batch(reg, ps.points)
-    per = np.abs(preds - fld.evaluate(ps.points))
-    i = int(np.argmax(per))
-    return SupErrorResult(sup=float(per[i]), argmax_probe=i, per_probe=per)
+    return float(np.abs(preds - fld.evaluate(ps.points)).max())

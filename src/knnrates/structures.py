@@ -16,8 +16,6 @@ from .regression import Dataset, Regressor, ScalarField, predict_batch
 
 @dataclass(frozen=True)
 class LevelSetEstimate:
-    level: float
-    epsilon: float
     member_indices: np.ndarray
     member_points: np.ndarray
 
@@ -31,8 +29,7 @@ def estimate_level_set(reg: Regressor, level: float,
     preds = predict_batch(reg, reg.data.x.points)
     threshold = float(level) - epsilon
     members = np.flatnonzero(preds >= threshold)
-    return LevelSetEstimate(level=float(level), epsilon=epsilon,
-                            member_indices=members,
+    return LevelSetEstimate(member_indices=members,
                             member_points=reg.data.x.points[members])
 
 
@@ -51,10 +48,6 @@ class PointCloud:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-
-def cloud_from_level_set(est: LevelSetEstimate, dim: int) -> PointCloud:
-    return PointCloud(dim=dim, points=est.member_points)
 
 
 def true_level_set_grid(fld: ScalarField, level: float, grid) -> PointCloud:
@@ -101,7 +94,6 @@ def hausdorff_distance_bruteforce(a: PointCloud, b: PointCloud) -> float:
 class MaximaEstimate:
     argmax_index: int
     location: np.ndarray
-    value: float
 
 
 def estimate_maxima(reg: Regressor) -> MaximaEstimate:
@@ -109,8 +101,7 @@ def estimate_maxima(reg: Regressor) -> MaximaEstimate:
     sample index."""
     preds = predict_batch(reg, reg.data.x.points)
     i = int(np.argmax(preds))
-    return MaximaEstimate(argmax_index=i, location=reg.data.x.points[i],
-                          value=float(preds[i]))
+    return MaximaEstimate(argmax_index=i, location=reg.data.x.points[i])
 
 
 def count_distinct_knn_sets(data: Dataset, ks, probes) -> list:

@@ -432,7 +432,7 @@ class TestProbes:
          "probes.cells"),
         ({"probes.count": "4194305"}, "probes.count"),
         ({"manifold.kind": "circle", "manifold.ambient_dim": "4",
-          "manifold.radius": "0.1592", "probes.cells": "4194304"},
+          "manifold.radius": "0.1592", "probes.cells": "4194305"},
          "probes.cells")])
     def test_oversized_probe_sets_rejected(self, over, key):
         pairs = base_pairs(**over)
@@ -456,7 +456,7 @@ class TestProbes:
 
     def test_probe_budget_edge_accepted(self):
         # 2048^2 grid points is exactly the budget; a Halton box ignores
-        # the grid setting.
+        # the grid setting; a manifold lays one probe per cell.
         build_config(base_pairs(**{"probes.cells": "2047", "density.low": "0, 0",
                                    "density.high": "1, 1",
                                    "field.center": "0.5, 0.5"}))
@@ -465,6 +465,13 @@ class TestProbes:
                                    "density.low": "0, 0, 0",
                                    "density.high": "1, 1, 1",
                                    "field.center": "0.5, 0.5, 0.5"}))
+        pairs = base_pairs(**{"manifold.kind": "circle",
+                              "manifold.ambient_dim": "4",
+                              "manifold.radius": "0.1592",
+                              "probes.cells": "4194304"})
+        for name in [n for n in pairs if n.startswith(("density.", "field."))]:
+            del pairs[name]
+        assert build_config(pairs).probe_cells == 4194304
 
     def test_manifold_probe(self):
         cfg = build_config({

@@ -178,6 +178,41 @@ class TestBatchRadii:
             scalar = np.array([knn_query(idx, q, k).radius for q in Q])
             assert np.array_equal(batch, scalar)
 
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_gap_rows_sharing_the_kth_distance(self, dim):
+        # The 12 integer points at distance 5 from the origin and four
+        # farther ones: at k = 12 every query below has a clear gap after
+        # its k-th distance, which all 12 neighbors share, exactly at the
+        # origin and within _REL_SLACK at the tiny offsets.  D = 3 embeds
+        # the plane; D = 8 holds four copies of the halved coordinates,
+        # since from 8 coordinates on the kd-tree adds its squares in
+        # another order than _sq_dists, so its k-th column need not hold
+        # the largest exact distance.
+        from knnrates.neighbors import _REL_SLACK, _sq_dists
+
+        plane = np.array([(5, 0), (-5, 0), (0, 5), (0, -5), (3, 4), (3, -4),
+                          (-3, 4), (-3, -4), (4, 3), (4, -3), (-4, 3),
+                          (-4, -3), (7, 0), (0, 8), (-9, 1), (6, 6)],
+                         dtype=float)
+        pts = {2: plane, 3: np.column_stack([plane, np.zeros(16)]),
+               8: np.tile(plane / 2, 4)}[dim]
+        rng = np.random.default_rng(dim)
+        Q = np.vstack([np.zeros((1, dim))] +
+                      [rng.standard_normal((20, dim)) * 2.0 ** e
+                       for e in (-52, -48, -44)])
+        idx = build_index(pts)
+        radii = []
+        for q in Q:
+            ns, oracle = knn_query(idx, q, 12), brute_force_knn(pts, q, 12)
+            d2 = _sq_dists(pts, q)
+            assert d2[:12].min() >= d2[:12].max() * (1.0 - _REL_SLACK) ** 2
+            assert np.array_equal(ns.member_indices, np.arange(12))
+            assert np.array_equal(oracle.member_indices, np.arange(12))
+            assert np.float64(ns.radius).tobytes() == \
+                np.float64(oracle.radius).tobytes()
+            radii.append(ns.radius)
+        assert knn_radii(idx, Q, 12).tobytes() == np.array(radii).tobytes()
+
 
 class TestSqDists:
     # _sq_dists adds its squares a column at a time in numpy's own

@@ -208,7 +208,7 @@ class TestBatchAgreement1D:
     def test_chunks_equal_scalar_bitwise(self, monkeypatch):
         # Chunks of 7 rows: the 200 queries span 29 chunks, the last one
         # short, and tied rows fall in several of them.
-        monkeypatch.setattr(neighbors, "_CHUNK_ROWS_1D", 7)
+        monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", 7)
         rng = np.random.default_rng(41)
         X = rng.integers(0, 40, size=(300, 1)).astype(float)
         Q = np.vstack([X[:100], rng.uniform(-5.0, 45.0, (100, 1))])
@@ -329,7 +329,7 @@ class TestTiedRows:
 
     @given(st.sampled_from([2, 3]), st.data())
     @example(dim=2, data=None)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=2 * settings.default.max_examples, deadline=None)
     def test_lattice_batch_equals_scalar_bitwise(self, dim, data):
         # Points drawn from a pool of at most six lattice sites, so
         # duplicates are the rule; the explicit example is n = 24 copies of
@@ -698,8 +698,7 @@ class TestSupError:
         fld = make_field("constant", value=2.5, dim=1)
         xs = np.linspace(0, 1, 50)
         reg = make_regressor(data1d(xs, fld.evaluate(xs.reshape(-1, 1))), 7)
-        res = sup_error(reg, fld, PointSet(np.linspace(0, 1, 101)))
-        assert res.sup == 0.0
+        assert sup_error(reg, fld, PointSet(np.linspace(0, 1, 101))) == 0.0
 
     def test_zero_noise_k1_interpolates_at_samples(self):
         rng = np.random.default_rng(8)
@@ -708,8 +707,7 @@ class TestSupError:
             x = rng.random((40, 1))
             reg = make_regressor(Dataset(PointSet(x),
                                          fld.evaluate(x)), 1)
-            res = sup_error(reg, fld, PointSet(x))
-            assert res.sup == 0.0
+            assert sup_error(reg, fld, PointSet(x)) == 0.0
 
     def test_probe_subset_never_exceeds_superset(self):
         rng = np.random.default_rng(9)
@@ -718,8 +716,8 @@ class TestSupError:
         reg = make_regressor(Dataset(PointSet(x), fld.evaluate(x)), 5)
         big = np.linspace(0, 1, 201).reshape(-1, 1)
         small = big[::4]
-        assert sup_error(reg, fld, PointSet(small)).sup <= \
-            sup_error(reg, fld, PointSet(big)).sup
+        assert sup_error(reg, fld, PointSet(small)) <= \
+            sup_error(reg, fld, PointSet(big))
 
     def test_bias_bounded_by_lipschitz_radius(self):
         # Zero noise, 1-Lipschitz-scaled field: |f_k - f| <= slope * r_k.
@@ -732,11 +730,17 @@ class TestSupError:
             assert err <= 3.0 * knn_query(reg.index, q, 9).radius + 1e-12
 
     def test_argmax_probe_reported(self):
-        fld = make_field("constant", value=0.0, dim=1)
-        reg = make_regressor(data1d([0.0, 1.0], [0.0, 1.0]), 1)
-        res = sup_error(reg, fld, PointSet(np.array([0.1, 0.9])))
-        assert res.per_probe.shape == (2,)
-        assert res.sup == res.per_probe[res.argmax_probe]
+        # The sup is the largest probe error, taken from the same batch
+        # predictions, not the first or the last probe's.
+        rng = np.random.default_rng(11)
+        fld = make_field("tent", center=(0.5,), slope=2.0, peak=1.0)
+        x = rng.random((60, 1))
+        reg = make_regressor(Dataset(PointSet(x), rng.standard_normal(60)), 3)
+        probes = np.linspace(0, 1, 41).reshape(-1, 1)
+        per = np.abs(predict_batch(reg, probes) - fld.evaluate(probes))
+        assert 0 < np.argmax(per) < 40
+        got = sup_error(reg, fld, PointSet(probes))
+        assert type(got) is float and got == per.max()
 
 
 class TestRegressorValidation:

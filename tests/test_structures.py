@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from knnrates import (Dataset, PointCloud, PointSet, brute_force_knn,
-                      cloud_from_level_set, count_distinct_knn_sets,
-                      estimate_level_set, estimate_maxima, hausdorff_distance,
+                      count_distinct_knn_sets, estimate_level_set,
+                      estimate_maxima, hausdorff_distance,
                       hausdorff_distance_bruteforce, knn_set_count_bound,
-                      make_field, make_regressor, ScalarField,
+                      make_field, make_regressor, predict_batch, ScalarField,
                       true_level_set_grid, uniform_grid)
 
 
@@ -158,10 +158,12 @@ class TestMaxima:
         rng = np.random.default_rng(5)
         ds = Dataset(PointSet(rng.random((50, 1))), rng.standard_normal(50))
         reg = make_regressor(ds, 5)
-        base = estimate_maxima(reg)
-        shifted = estimate_maxima(make_regressor(Dataset(ds.x, ds.y + 2.0), 5))
+        moved = make_regressor(Dataset(ds.x, ds.y + 2.0), 5)
+        base, shifted = estimate_maxima(reg), estimate_maxima(moved)
         assert shifted.argmax_index == base.argmax_index
-        assert shifted.value == pytest.approx(base.value + 2.0, rel=1e-12)
+        i = base.argmax_index
+        assert predict_batch(moved, ds.x.points)[i] == pytest.approx(
+            predict_batch(reg, ds.x.points)[i] + 2.0, rel=1e-12)
 
     def test_first_index_tie_break(self):
         reg = make_regressor(data1d([0.0, 10.0, 20.0], [7.0, 7.0, 7.0]), 1)
@@ -321,6 +323,5 @@ class TestCloudFromLevelSet:
     def test_roundtrip(self):
         reg = make_regressor(data1d([0.0, 1.0, 2.0], [0.0, 5.0, 10.0]), 1)
         est = estimate_level_set(reg, 5.0, 0.0)
-        c = cloud_from_level_set(est, 1)
-        assert c.size == 2
-        assert np.array_equal(c.points, [[1.0], [2.0]])
+        assert np.array_equal(est.member_indices, [1, 2])
+        assert np.array_equal(est.member_points, [[1.0], [2.0]])
