@@ -282,7 +282,6 @@ def knn_set_count_bound(n: int, dim: int) -> int:
 
 @dataclass(frozen=True)
 class LevelSetEpsilon:
-    sigma_hat: float
     epsilon: float
 
 
@@ -302,7 +301,7 @@ def level_set_epsilon(data, dim: int, k: int, delta: float) -> LevelSetEpsilon:
     sigma_hat = math.sqrt(2.0 / n * float(np.sum(y * y)))
     eps = 4.0 * sigma_hat * math.sqrt(
         (dim * math.log(n) + math.log(2.0 / delta)) / k)
-    return LevelSetEpsilon(sigma_hat=sigma_hat, epsilon=eps)
+    return LevelSetEpsilon(epsilon=eps)
 
 
 def level_set_dh_bound(params: BoundParams, n: int, k: int) -> float:

@@ -12,7 +12,6 @@ bytes.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -22,7 +21,7 @@ import numpy as np
 from . import bounds as bnd
 from .bounds import (BoundParams, MissingParameterError, k_range_check,
                      knn_set_count_bound, level_set_epsilon, optimal_k)
-from .neighbors import knn_radii
+from .neighbors import _map_on_cpus, knn_radii
 from .regression import Dataset, ScalarField, make_regressor, sup_error
 from .structures import (PointCloud, count_distinct_knn_sets,
                          estimate_level_set, estimate_maxima,
@@ -274,34 +273,16 @@ def _try(fn, *args, **kwargs) -> float:
         return float("nan")
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the
-    platform reports one, else every CPU of the machine."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is not None:
-        return len(affinity(0))
-    return os.cpu_count() or 1
-
-
 def _map_trials(trial, jobs) -> list:
     """The records of `trial(job)` for each job, concatenated in job order.
 
     Each trial draws from its own (master, n, seed, label) streams and
-    builds its own index, so trials run at once on a thread pool of one
-    worker per usable CPU (the tree queries and numpy's large kernels
-    release the GIL) give the records of a serial loop.  With one worker
-    this is a plain loop that starts no thread.  A failing trial raises as
-    in the serial loop: the first failure in job order, after which the
-    jobs not yet started are cancelled.
+    builds its own index, so on the usable CPUs (neighbors._map_on_cpus)
+    the trials give the records, or the first failure, of a serial loop;
+    the batch calls they make in the pool's workers run their chunks serially.
     """
-    workers = min(len(jobs), _usable_cpus())
-    if workers <= 1:
-        results = [trial(job) for job in jobs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trial, jobs))
-    return [record for records in results for record in records]
+    return [record for records in _map_on_cpus(trial, jobs)
+            for record in records]
 
 
 def _run_trials(cfg: ExperimentConfig, fld: ScalarField, setting: str,

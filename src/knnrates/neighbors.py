@@ -48,6 +48,9 @@ against.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -73,10 +76,11 @@ _TIE_ENTRIES = 2 ** 14
 # chunk peaks near 32 bytes per entry (tree distances and indices plus the
 # reductions' temporaries), and a knn_radii chunk adds 8 * D bytes per
 # entry for the coordinates of its gap rows' neighbors, so in low
-# dimensions a batch call stays near 2 MiB whatever k is.  A study runs
-# one trial per usable CPU at once, each with its own chunks, so the chunk
-# is kept small enough that those working sets add little to a process's
-# peak memory.
+# dimensions a chunk stays near 2 MiB whatever k is.  A batch call runs
+# its chunks at once on the usable CPUs, or in a loop inside a study's
+# trial pool, so at most one chunk per usable CPU is live at once; the
+# chunk is kept small enough that those working sets add little to a
+# process's peak memory.
 _CHUNK_ENTRIES = 2 ** 16
 
 # A batch call rounds its rows' means this many at a time.  The int64
@@ -542,6 +546,34 @@ def _tied_rows(index: SpatialIndex, qs: np.ndarray, r: np.ndarray, k: int,
     return radii if parts is None else (sums, counts)
 
 
+# Set in the threads of _map_on_cpus's pools, so that pools never nest.
+_in_pool = threading.local()
+
+
+def _map_on_cpus(fn, items) -> list:
+    """[fn(item) for item in items], run at once on the usable CPUs (the
+    affinity set where the platform reports one, else every CPU), since
+    the tree queries and numpy's large kernels release the GIL.
+
+    A thread pool made for the call, one worker per CPU and at most one per
+    item, runs each item in a copy of the caller's context, so that its
+    np.errstate holds.  With one item or CPU, or inside a worker of such a
+    pool, it is a plain loop that starts no thread.  A failure raises as in
+    the loop, the first in item order; the items not yet started are
+    cancelled, and no worker outlives the call.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if len(items) <= 1 or cpus <= 1 or getattr(_in_pool, "worker", False):
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+    context = contextvars.copy_context()
+    with ThreadPoolExecutor(min(len(items), cpus), initializer=setattr,
+                            initargs=(_in_pool, "worker", True)) as pool:
+        return list(pool.map(lambda item: context.copy().run(fn, item),
+                             items))
+
+
 def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     """The chunked kernel under knn_radii (y None) and predict_batch (the
     mean of y over each row's neighbor set).
@@ -563,10 +595,13 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     member count go into one (limbs, rows) array for the call, and _means
     rounds it _MEAN_ROWS rows at a time (once for most calls).  Every mean
     is the correctly rounded one, so every row gets the bits of a scalar
-    loop.  A chunk holds _CHUNK_ENTRIES (2^16) entries, one per D = 1 row
-    and k+1 per D >= 2 row (about 2 MiB at its peak), or one row when k+1
-    alone exceeds that.  Rows are settled independently, so the chunk size
-    changes no bit of the output.
+    loop.  A call splits its rows evenly among the fewest chunks of at
+    most _CHUNK_ENTRIES (2^16) entries, one per D = 1 row and k+1 per
+    D >= 2 row (about 2 MiB at a chunk's peak), or of one row when k+1
+    alone exceeds that, and runs them at once on the usable CPUs
+    (_map_on_cpus), or in a loop when called from a pool worker such as a
+    study's trial.  Each chunk writes its own rows, and rows are settled
+    independently, so neither chunks nor threads change a bit.
     """
     ps = index.source
     Q = np.asarray(queries, dtype=np.float64)
@@ -586,7 +621,7 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
         sums = np.empty((parts.shape[0], Q.shape[0]), dtype=np.int64)
         counts = np.empty(Q.shape[0], dtype=np.int64)
     if order is not None:
-        rows = _CHUNK_ENTRIES
+        cap = _CHUNK_ENTRIES
         mids = 0.5 * xs[:ps.n - k] + 0.5 * xs[k:]
         if y is not None:
             # Only the limbs' prefix sums are kept.
@@ -594,8 +629,11 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
             np.cumsum(parts, axis=1, out=prefix[:, 1:])
             del parts
     else:
-        rows = max(1, _CHUNK_ENTRIES // (k + 1))
-    for lo in range(0, Q.shape[0], rows):
+        cap = max(1, _CHUNK_ENTRIES // (k + 1))
+    chunks = -(-Q.shape[0] // cap)
+    rows = -(-Q.shape[0] // chunks) if chunks else 1
+
+    def chunk(lo):
         qc = Q[lo:lo + rows]
         if y is None:
             block = out[lo:lo + rows]
@@ -618,7 +656,7 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
                         xs, qx[tied], r2[tied], a[tied], k)
                 np.subtract(prefix[:, run_hi], prefix[:, run_lo], out=block_s)
                 np.subtract(run_hi, run_lo, out=block_n)
-            continue
+            return
         d, idx = index._tree.query(qc, k=k + 1)
         dk = d[:, k - 1]
         fast = d[:, k] > dk * (1.0 + _REL_SLACK)
@@ -645,6 +683,8 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
             else:
                 block_s[:, row] = parts[:, ns.member_indices].sum(axis=1)
                 block_n[row] = ns.count
+
+    _map_on_cpus(chunk, range(0, Q.shape[0], rows))
     if y is not None:
         for lo in range(0, Q.shape[0], _MEAN_ROWS):
             out[lo:lo + _MEAN_ROWS] = _means(sums[:, lo:lo + _MEAN_ROWS],

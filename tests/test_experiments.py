@@ -580,33 +580,9 @@ def test_manifold_bytes_with_cold_and_warm_rotation():
 # trials on a thread pool
 
 
-def _force_cpus(monkeypatch, count):
-    """Make the runners see `count` usable CPUs."""
-    import os
-
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)), raising=False)
-
-
-@pytest.fixture
-def thread_starts(monkeypatch):
-    """The number of threads started since the fixture was set up."""
-    import threading
-
-    started = []
-    start = threading.Thread.start
-
-    def counting_start(self, *args, **kwargs):
-        started.append(self)
-        return start(self, *args, **kwargs)
-
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    return started
-
-
 class TestParallelTrials:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-    def test_records_equal_serial(self, name, monkeypatch, thread_starts):
+    def test_records_equal_serial(self, name, force_cpus, thread_starts):
         # Every runner path, on one worker and on two: the same records in
         # the same order, and the golden bytes.
         import hashlib
@@ -616,7 +592,7 @@ class TestParallelTrials:
         pairs, digest = GOLDEN_CONFIGS[name]
         runs = []
         for cpus in (1, 2):
-            _force_cpus(monkeypatch, cpus)
+            force_cpus(cpus)
             del thread_starts[:]
             records = run_experiment(build_config(pairs))
             runs.append(([(r.experiment, r.n, r.k, r.seed, r.quantity,
@@ -628,7 +604,7 @@ class TestParallelTrials:
         assert hashlib.sha256(runs[1][1].encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("name", ["coverage", "manifold", "setcount"])
-    def test_more_workers_than_cores(self, name, monkeypatch):
+    def test_more_workers_than_cores(self, name, force_cpus):
         # Eight workers over eight trials that switch threads as often as
         # the interpreter allows: the trials share only read-only state (the
         # config, field, probes and cached rotation), so the records are
@@ -639,9 +615,9 @@ class TestParallelTrials:
         from knnrates.synth import _rotation_matrix
 
         pairs = dict(GOLDEN_CONFIGS[name][0], **{"trial.seeds_per_n": "4"})
-        _force_cpus(monkeypatch, 1)
+        force_cpus(1)
         serial = records_to_csv(run_experiment(build_config(pairs)))
-        _force_cpus(monkeypatch, 8)
+        force_cpus(8)
         _rotation_matrix.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -652,7 +628,8 @@ class TestParallelTrials:
         assert parallel == serial
 
     @pytest.mark.parametrize("name", ["coverage", "setcount"])
-    def test_failing_trial_raises_as_serial(self, name, monkeypatch):
+    def test_failing_trial_raises_as_serial(self, name, monkeypatch,
+                                            force_cpus):
         # Two trials fail, the later one first in time: the pool raises the
         # error of the first failing trial in ladder order, as a serial loop
         # does, and leaves no thread running.
@@ -676,7 +653,7 @@ class TestParallelTrials:
         monkeypatch.setattr(experiments, "stream_seed", failing)
         errors = []
         for cpus in (1, 2):
-            _force_cpus(monkeypatch, cpus)
+            force_cpus(cpus)
             before = threading.active_count()
             with pytest.raises(RuntimeError) as info:
                 run_experiment(cfg)
@@ -685,31 +662,40 @@ class TestParallelTrials:
         assert errors[0] == errors[1] == (
             RuntimeError, f"trial n={first[0]} seed=1 failed")
 
-    def test_one_trial_starts_no_thread(self, monkeypatch, thread_starts):
+    def test_one_trial_starts_no_thread(self, force_cpus, thread_starts):
         from knnrates import run_experiment
 
-        _force_cpus(monkeypatch, 2)
+        force_cpus(2)
         cfg = build_config(base_pairs(**{"ladder.n": "64",
                                          "trial.seeds_per_n": "1"}))
         assert len(run_experiment(cfg)) == 1
         assert thread_starts == []
 
-    def test_usable_cpus(self, monkeypatch):
-        # The affinity set where the platform has one, else the machine's
-        # CPU count, and one CPU when even that is unknown.
+    def test_usable_cpus(self, monkeypatch, force_cpus, thread_starts):
+        # One worker per CPU of the affinity set where the platform has one,
+        # else of the machine, and a plain loop when even that is unknown.
+        # Each item sleeps, so that no worker is idle while items are
+        # handed out and every worker starts.
         import os
+        import time
 
-        from knnrates.experiments import _usable_cpus
+        from knnrates.neighbors import _map_on_cpus
 
-        _force_cpus(monkeypatch, 3)
-        assert _usable_cpus() == 3
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert _usable_cpus() == 5
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _usable_cpus() == 1
+        def square(x):
+            time.sleep(0.01)
+            return x * x
 
-    def test_two_trials_peak_memory(self, monkeypatch):
+        for cpus, want in ((3, 3), (5, 5), (None, 0)):
+            if cpus == 3:
+                force_cpus(3)
+            else:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+                monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            del thread_starts[:]
+            assert _map_on_cpus(square, range(8)) == [x * x for x in range(8)]
+            assert len(thread_starts) == want
+
+    def test_two_trials_peak_memory(self, force_cpus):
         # Two manifold trials at once, n = 8192 in R^10 with k = 408 and 512
         # probes.  Each D >= 2 batch chunk holds _CHUNK_ENTRIES = 2^16 tree
         # entries; traced peaks with numpy 2.4 and scipy 1.17 on x86-64:
@@ -720,7 +706,7 @@ class TestParallelTrials:
 
         from knnrates import run_experiment
 
-        _force_cpus(monkeypatch, 2)
+        force_cpus(2)
         cfg = build_config({
             "experiment.kind": "regression", "seed.master": "11",
             "ladder.n": "8192", "trial.seeds_per_n": "6",

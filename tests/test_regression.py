@@ -376,6 +376,163 @@ class TestTiedRows:
         assert np.array_equal(out, np.full(4096, want))
 
 
+def tie_lattice(dim, side, seed):
+    """The integer lattice {0..side-1}^dim with a random half of its points
+    three times over: most rows tie at the k-th distance."""
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(*[np.arange(side, dtype=float)] * dim),
+                    axis=-1).reshape(-1, dim)
+    twice = grid[rng.permutation(len(grid))[:len(grid) // 2]]
+    X = np.vstack([grid, twice, twice])
+    return X, rng.standard_normal(len(X))
+
+
+class TestParallelBatch:
+    """A batch call's chunks run at once on the usable CPUs, or in a loop
+    on one CPU or inside a pool worker, with the same bits either way."""
+
+    @pytest.fixture
+    def chunk_calls(self, monkeypatch):
+        """The items of each _map_on_cpus call the batch kernel makes."""
+        calls = []
+        real = neighbors._map_on_cpus
+
+        def spy(fn, items):
+            calls.append(items)
+            return real(fn, items)
+
+        monkeypatch.setattr(neighbors, "_map_on_cpus", spy)
+        return calls
+
+    @pytest.mark.parametrize("case", ["lattice-2", "lattice-3",
+                                      "uniform-2", "uniform-10"])
+    def test_every_cpu_count_gives_scalar_bits(self, case, monkeypatch,
+                                                force_cpus, thread_starts,
+                                                chunk_calls):
+        # Chunks of 64 tree entries hold 8 rows at k = 7, so every call
+        # spans several chunks; eight workers switch threads as often as
+        # the interpreter allows.
+        import sys
+
+        kind, dim = case.split("-")
+        dim, k = int(dim), 7
+        if kind == "lattice":
+            X, y = tie_lattice(dim, {2: 10, 3: 5}[dim], dim)
+            Q = lattice_queries(X)
+        else:
+            rng = np.random.default_rng(dim)
+            X, y = rng.random((300, dim)), rng.standard_normal(300)
+            Q = rng.random((150, dim))
+        monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", 64)
+        reg = make_regressor(Dataset(PointSet(X), y), k)
+        want = (bits([predict(reg, q) for q in Q]),
+                bits([knn_query(reg.index, q, k).radius for q in Q]))
+        if kind == "lattice":
+            tied = sum(brute_force_knn(X, q, k).count > k for q in Q)
+            assert tied > len(Q) / 2
+        interval = sys.getswitchinterval()
+        for cpus in (1, 2, 8):
+            force_cpus(cpus)
+            del thread_starts[:], chunk_calls[:]
+            sys.setswitchinterval(1e-6 if cpus == 8 else interval)
+            try:
+                got = predict_batch(reg, Q), knn_radii(reg.index, Q, k)
+            finally:
+                sys.setswitchinterval(interval)
+            assert [len(items) for items in chunk_calls] == \
+                [-(-len(Q) // 8)] * 2
+            assert bool(thread_starts) == (cpus > 1)
+            assert np.array_equal(bits(got[0]), want[0])
+            assert np.array_equal(bits(got[1]), want[1])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_chunk_or_none_starts_no_thread(self, dim, force_cpus,
+                                                thread_starts, chunk_calls):
+        # At k = 16 a D = 2 chunk holds 2^16 // 17 = 3855 rows, a D = 1
+        # chunk 2^16; one row more makes two chunks of balanced sizes.
+        force_cpus(2)
+        rng = np.random.default_rng(59)
+        reg = make_regressor(Dataset(PointSet(rng.random((500, dim))),
+                                     rng.standard_normal(500)), 16)
+        cap = 3855 if dim == 2 else 2 ** 16
+        for rows in (0, 1, cap):
+            Q = rng.random((rows, dim))
+            got = predict_batch(reg, Q), knn_radii(reg.index, Q, 16)
+            assert got[0].shape == got[1].shape == (rows,)
+        assert thread_starts == []
+        del chunk_calls[:]
+        Q = rng.random((cap + 1, dim))
+        got = predict_batch(reg, Q)
+        assert chunk_calls == [range(0, cap + 1, cap // 2 + 1)]
+        assert len(thread_starts) == 2
+        force_cpus(1)
+        assert np.array_equal(bits(predict_batch(reg, Q)), bits(got))
+
+    def test_study_pools_never_nest(self, monkeypatch, force_cpus,
+                                    thread_starts, chunk_calls):
+        # Four manifold trials on two CPUs, each of whose batch calls spans
+        # several chunks: only the trial pool's two workers start.
+        from knnrates import build_config, records_to_csv, run_experiment
+
+        monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", 2 ** 8)
+        cfg = build_config({
+            "experiment.kind": "regression", "seed.master": "13",
+            "ladder.n": "256", "trial.seeds_per_n": "4",
+            "k.rule": "fixed", "k.fixed": "16", "probes.cells": "256",
+            "noise.kind": "gaussian", "noise.scale": "0.1",
+            "manifold.kind": "circle", "manifold.ambient_dim": "4",
+            "manifold.radius": "0.15915494309189535",
+            "manifold.rotate": "true", "manifold.rotation_seed": "7"})
+        force_cpus(1)
+        serial = records_to_csv(run_experiment(cfg))
+        force_cpus(2)
+        del thread_starts[:], chunk_calls[:]
+        assert records_to_csv(run_experiment(cfg)) == serial
+        assert len(thread_starts) == 2
+        assert len(chunk_calls) >= 4
+        assert all(len(items) > 1 for items in chunk_calls)
+
+    @pytest.mark.parametrize("path", ["predict_batch", "knn_radii"])
+    def test_failing_chunk_raises_as_serial(self, path, monkeypatch,
+                                            force_cpus):
+        # The last rows, scaled by 2^600, overflow the tree's distances and
+        # take knn_query, where scipy raises; the earlier chunks succeed.
+        import threading
+
+        monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", 64)
+        rng = np.random.default_rng(61)
+        reg = make_regressor(Dataset(PointSet(rng.random((300, 2))),
+                                     rng.standard_normal(300)), 7)
+        Q = rng.random((100, 2))
+        Q[90:] *= 2.0 ** 600
+        call = {"predict_batch": lambda: predict_batch(reg, Q),
+                "knn_radii": lambda: knn_radii(reg.index, Q, 7)}[path]
+        errors = []
+        for cpus in (1, 2, 8):
+            force_cpus(cpus)
+            before = threading.active_count()
+            with pytest.raises(Exception) as info:
+                call()
+            errors.append((type(info.value), str(info.value)))
+            assert threading.active_count() == before
+        assert errors[0][0] is ValueError
+        assert errors[1] == errors[2] == errors[0]
+
+    def test_caller_errstate_holds_in_workers(self, monkeypatch, force_cpus):
+        # Squared distances overflow in every chunk of this 1-D call: the
+        # caller's np.errstate decides what that does on every thread.
+        monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", 16)
+        xs = np.ldexp(np.arange(-40.0, 40.0), 1000)
+        reg = make_regressor(data1d(xs, np.ones(80)), 3)
+        for cpus in (1, 2):
+            force_cpus(cpus)
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError):
+                    knn_radii(reg.index, xs, 3)
+            with np.errstate(over="ignore"):
+                assert np.isinf(knn_radii(reg.index, xs, 3)).all()
+
+
 @st.composite
 def wide_range_data(draw, dim):
     """Points from a pool of at most eight sites (lattice or continuous
