@@ -12,8 +12,8 @@ whole-array operation per coordinate, with the squares added in numpy's
 own pairwise order, so it has the bits of numpy's sum over the
 coordinates at a fraction of its cost in low dimensions.
 
-In D = 1 the index is the stable sorted order of the coordinate and holds
-no tree, so no 1-D path loads scipy.  The neighbor set of a query is a
+In D = 1 the index is the sorted order of the coordinate and holds no
+tree, so no 1-D path loads scipy.  The neighbor set of a query is a
 contiguous run of that order around the query's k-point window, which is
 the whole set when both points just outside it are strictly farther than
 its farther end (an exact test), and otherwise two binary searches widen
@@ -43,7 +43,9 @@ prefix sums over the sorted order, so no row is gathered or sorted.  A
 batch rounds up to _MEAN_ROWS rows' sums at once, tied or not (`_means`,
 in int64 numpy with no Python int per row).  A scalar mean divides one
 Python int (`_exact_mean`), the oracle the batch rounding is tested
-against.
+against.  The estimators at the sample points start from float means with
+a proven error bound (`_sample_bounds`) and round only the rows it leaves
+undecided.
 """
 
 from __future__ import annotations
@@ -133,10 +135,10 @@ class NeighborSet:
 class SpatialIndex:
     """Immutable query structure over a PointSet; safe for concurrent reads.
 
-    In D = 1 it holds the stable argsort of the coordinate and the
-    coordinate in that order, which every query searches for its neighbor
-    window, and `_tree` is None.  In D >= 2 it holds the kd-tree and
-    `_order` and `_xs` are None.
+    In D = 1 it holds an argsort of the coordinate and the coordinate in
+    that order, which every query searches for its neighbor window, and
+    `_tree` is None.  In D >= 2 it holds the kd-tree and `_order` and `_xs`
+    are None.
     """
 
     source: PointSet
@@ -226,11 +228,13 @@ def _check_k(k: int, n: int) -> int:
 
 
 def build_index(points) -> SpatialIndex:
-    """Build the index: the stable sorted order in D = 1, a kd-tree in
-    D >= 2.  Deterministic given the input order."""
+    """Build the index: the sorted order in D = 1, a kd-tree in D >= 2.
+    No output depends on the order of equal coordinates: a fast window
+    never splits them, _widen takes whole tied runs, the limb sums are
+    exact and knn_query sorts its members."""
     ps = as_point_set(points)
     if ps.dim == 1:
-        order = np.argsort(ps.points[:, 0], kind="stable")
+        order = np.argsort(ps.points[:, 0])
         xs = ps.points[order, 0]
         order.setflags(write=False)
         xs.setflags(write=False)
@@ -256,18 +260,16 @@ def brute_force_knn(points, query, k: int) -> NeighborSet:
 def knn_query(index: SpatialIndex, query, k: int) -> NeighborSet:
     """Tie-inclusive k-NN query, exactly equivalent to brute_force_knn.
 
-    In D = 1 it is one row of the batch kernel: the window of _windows,
-    widened over ties by _widen unless the window is fast.  In D >= 2 a
-    tree query for the k-th distance bounds a ball query, whose candidates
-    are refined exactly.
+    In D = 1 it is one row of the batch kernel, the run of _runs.  In
+    D >= 2 a tree query for the k-th distance bounds a ball query, whose
+    candidates are refined exactly.
     """
     ps = index.source
     q = _check_query(query, ps.dim)
     k = _check_k(k, ps.n)
     order, xs = index._order, index._xs
     if order is not None:
-        a, r2, fast = _windows(xs, q, k)
-        lo, hi = (a, a + k) if fast[0] else _widen(xs, q, r2, a, k)
+        lo, hi, r2 = _runs(xs, q, k)
         r2, members = r2[0], np.sort(order[lo[0]:hi[0]])
     else:
         dists = np.atleast_1d(index._tree.query(q, k=k)[0])
@@ -367,6 +369,17 @@ def _widen(xs: np.ndarray, q: np.ndarray, r2: np.ndarray, a: np.ndarray,
         last = np.where((c < n) & inside(np.minimum(c, n - 1)), c, last)
         step >>= 1
     return lo, last + 1
+
+
+def _runs(xs: np.ndarray, q: np.ndarray, k: int, start=None):
+    """Tie-inclusive runs [lo, hi) of 1-D queries q, and their squared
+    radii: _windows's windows, widened by _widen where they are not fast."""
+    a, r2, fast = _windows(xs, q, k, start)
+    lo, hi = a, a + k
+    tied = np.flatnonzero(~fast)
+    if tied.size:
+        lo[tied], hi[tied] = _widen(xs, q[tied], r2[tied], a[tied], k)
+    return lo, hi, r2
 
 
 def _limbs(y: np.ndarray):
@@ -645,15 +658,10 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
             by = np.argsort(qx)
             start = np.empty_like(by)
             start[by] = np.searchsorted(mids, qx[by])
-            a, r2, fast = _windows(xs, qx, k, start)
             if y is None:
-                block[:] = np.sqrt(r2)
+                block[:] = np.sqrt(_windows(xs, qx, k, start)[1])
             else:
-                run_lo, run_hi = a, a + k
-                tied = np.flatnonzero(~fast)
-                if tied.size:
-                    run_lo[tied], run_hi[tied] = _widen(
-                        xs, qx[tied], r2[tied], a[tied], k)
+                run_lo, run_hi, _ = _runs(xs, qx, k, start)
                 np.subtract(prefix[:, run_hi], prefix[:, run_lo], out=block_s)
                 np.subtract(run_hi, run_lo, out=block_n)
             return
@@ -691,6 +699,42 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
                                              counts[lo:lo + _MEAN_ROWS],
                                              bits, e)
     return out
+
+
+def _sample_bounds(index: SpatialIndex, y: np.ndarray, k: int):
+    """Bounds lower <= p <= upper, in source order, on predict_batch's p at
+    the index's own points.  In D >= 2 both are _batch's p.
+
+    In D = 1 the queries are xs itself, already sorted, with _runs's runs
+    [lo, hi): approx = s^ / m, m = hi - lo, s^ = P[hi] - P[lo] over float
+    prefix sums P of y in sorted order.  With u = 2**-53, T = sum |y| and
+    g = n u / (1 - n u), every |P^_j - P_j| <= g T in any summation order,
+    so |s^ - s| <= 2 g T + u |s^| / (1 - u) for the exact sum s; dividing
+    and p = RN(s / m) add u times the quotient or 2**-1075 each, so
+    |approx - p| <= (1 + 3u) X + 2**-1073, X = (2 g T + u |s^|) / m +
+    2 u |approx|.  The bounds are approx -+ err, err = 2 X + 2**-1000 in
+    floats: for n u <= 1/10 the factor 2 covers rounding err, T and
+    approx -+ err (at most X / 2 + u err), and 2**-1000 the subnormals.
+    A row with a non-finite err (an overflowed sum) gets (-inf, inf).
+    """
+    order, xs = index._order, index._xs
+    if order is None:
+        p = _batch(index, index.source.points, k, y)
+        return p, p
+    n, u = xs.shape[0], 2.0 ** -53
+    lo, hi, _ = _runs(xs, xs, k,
+                      np.searchsorted(0.5 * xs[:n - k] + 0.5 * xs[k:], xs))
+    prefix, lower, upper = np.zeros(n + 1), np.empty(n), np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(y[order], out=prefix[1:])
+        s, m = prefix[hi] - prefix[lo], hi - lo
+        approx, g = s / m, n * u / (1 - n * u)
+        err = 2 * ((2 * g * np.abs(y).sum() + u * np.abs(s)) / m +
+                   2 * u * np.abs(approx)) + 2.0 ** -1000
+        known = np.isfinite(err)
+        lower[order] = np.where(known, approx - err, -np.inf)
+        upper[order] = np.where(known, approx + err, np.inf)
+    return lower, upper
 
 
 def knn_radii(index: SpatialIndex, queries, k: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .neighbors import (PointSet, as_point_set, build_index, knn_radii,
-                        _CHUNK_ENTRIES, _sq_dists)
+                        _CHUNK_ENTRIES, _sample_bounds, _sq_dists)
 from .regression import Dataset, Regressor, ScalarField, predict_batch
 
 
@@ -22,15 +22,23 @@ class LevelSetEstimate:
 
 def estimate_level_set(reg: Regressor, level: float,
                        epsilon: float) -> LevelSetEstimate:
-    """Sample points whose prediction clears level - epsilon (ties kept)."""
+    """Sample points whose prediction clears level - epsilon (ties kept).
+    A row is in (out) when both bounds on its prediction (_sample_bounds)
+    clear (miss) the threshold; predict_batch settles the rest exactly."""
     epsilon = float(epsilon)
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    preds = predict_batch(reg, reg.data.x.points)
     threshold = float(level) - epsilon
-    members = np.flatnonzero(preds >= threshold)
+    if not (epsilon >= 0.0 and threshold == threshold):
+        raise ValueError("epsilon must be nonnegative and level - epsilon "
+                         f"a number, got {level} and {epsilon}")
+    points = reg.data.x.points
+    lower, upper = _sample_bounds(reg.index, reg.data.y, reg.k)
+    inside = lower >= threshold
+    unsure = np.flatnonzero(~inside & ~(upper < threshold))
+    if unsure.size:
+        inside[unsure] = predict_batch(reg, points[unsure]) >= threshold
+    members = np.flatnonzero(inside)
     return LevelSetEstimate(member_indices=members,
-                            member_points=reg.data.x.points[members])
+                            member_points=points[members])
 
 
 @dataclass(frozen=True)
@@ -42,8 +50,10 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, self.dim)
-        object.__setattr__(self, "points", pts)
+        pts = np.asarray(self.points, dtype=np.float64)
+        if pts.ndim == 2 and pts.shape[1] != self.dim:
+            raise ValueError(f"points have {pts.shape[1]} columns, not {self.dim}")
+        object.__setattr__(self, "points", pts.reshape(-1, self.dim))
 
     @property
     def size(self) -> int:
@@ -98,10 +108,14 @@ class MaximaEstimate:
 
 def estimate_maxima(reg: Regressor) -> MaximaEstimate:
     """Sample point with the highest prediction; ties break to the smallest
-    sample index."""
-    preds = predict_batch(reg, reg.data.x.points)
-    i = int(np.argmax(preds))
-    return MaximaEstimate(argmax_index=i, location=reg.data.x.points[i])
+    sample index.  predict_batch settles, in index order, the rows whose
+    upper bound (_sample_bounds) reaches the largest lower bound, as every
+    maximal row's does, so their first maximum is np.argmax's of all."""
+    points = reg.data.x.points
+    lower, upper = _sample_bounds(reg.index, reg.data.y, reg.k)
+    cand = np.flatnonzero(upper >= lower.max())
+    i = int(cand[np.argmax(predict_batch(reg, points[cand]))])
+    return MaximaEstimate(argmax_index=i, location=points[i])
 
 
 def count_distinct_knn_sets(data: Dataset, ks, probes) -> list:

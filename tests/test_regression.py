@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import knnrates.neighbors as neighbors
 from knnrates import (Dataset, PointCloud, PointSet, Regressor,
-                      brute_force_knn, hausdorff_distance,
+                      brute_force_knn, estimate_level_set, estimate_maxima,
+                      hausdorff_distance,
                       hausdorff_distance_bruteforce, knn_query, knn_radii,
                       make_field, make_regressor, predict, predict_batch,
                       sup_error)
@@ -787,6 +788,61 @@ class TestWindowStart:
                         [knn_query(reg.index, [q], k).radius for q in Q])
         assert np.array_equal(bits(got[0]), bits(want[0]))
         assert np.array_equal(bits(got[1]), bits(want[1]))
+
+
+def shuffle_ties(index, rng):
+    """The 1-D index with its order permuted at random within every run of
+    equal coordinates (-0.0 and 0.0 included)."""
+    xs, order = index._xs, index._order.copy()
+    edges = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1], True])
+    for a, b in zip(edges[:-1], edges[1:]):
+        order[a:b] = rng.permutation(order[a:b])
+    order.setflags(write=False)
+    return dataclasses.replace(index, _order=order)
+
+
+class TestTieOrder:
+    """No 1-D output depends on how the index orders equal coordinates, so
+    build_index may take numpy's default (unstable) sort."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_ties_change_no_bit(self, seed, monkeypatch):
+        import knnrates.regression as regression
+
+        rng = np.random.default_rng(seed)
+        X = rng.choice([-2.0, -0.0, 0.0, 1.0, 1.5, 3.0], 60).reshape(-1, 1)
+        # Observations of many magnitudes, so float sums depend on order.
+        y = rng.standard_normal(60) * 10.0 ** rng.integers(-8, 9, 60)
+        shuffled = []
+
+        def build_shuffled(points):
+            index = shuffle_ties(neighbors.build_index(points), rng)
+            shuffled.append(index._order)
+            return index
+
+        monkeypatch.setattr(regression, "build_index", build_shuffled)
+        Q = lattice_queries(X)
+        for k in (1, 7, 20, 60):
+            reg = make_regressor(Dataset(PointSet(X), y), k)
+            want = [brute_force_knn(X, q, k) for q in Q]
+            assert np.array_equal(
+                bits(predict_batch(reg, Q)),
+                bits([exact_mean(y[ns.member_indices]) for ns in want]))
+            assert np.array_equal(bits(knn_radii(reg.index, Q, k)),
+                                  bits([ns.radius for ns in want]))
+            for q, ns in zip(Q, want):
+                got = knn_query(reg.index, q, k)
+                assert got.radius == ns.radius
+                assert np.array_equal(got.member_indices, ns.member_indices)
+            preds = predict_batch(reg, X)
+            level = preds[rng.integers(60)]
+            assert np.array_equal(estimate_level_set(reg, level, 0.0)
+                                  .member_indices,
+                                  np.flatnonzero(preds >= level))
+            assert estimate_maxima(reg).argmax_index == np.argmax(preds)
+        # The shuffle moved some tied points.
+        base = neighbors.build_index(PointSet(X))._order
+        assert any(not np.array_equal(o, base) for o in shuffled)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

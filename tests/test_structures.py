@@ -3,7 +3,10 @@ double-loop oracle), maxima, and the distinct-neighbor-set counter."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import knnrates.structures as structures
 from knnrates import (Dataset, PointCloud, PointSet, brute_force_knn,
                       count_distinct_knn_sets, estimate_level_set,
                       estimate_maxima, hausdorff_distance,
@@ -67,6 +70,103 @@ class TestLevelSet:
         reg = make_regressor(data1d([0.0, 1.0], [0.0, 1.0]), 1)
         with pytest.raises(ValueError):
             estimate_level_set(reg, 0.0, -0.1)
+
+    @pytest.mark.parametrize("level, epsilon", [
+        (np.nan, 0.0), (0.0, np.nan), (np.inf, np.inf)])
+    def test_nan_threshold_rejected(self, level, epsilon):
+        # level - epsilon is NaN in each case.
+        reg = make_regressor(data1d([0.0, 1.0], [0.0, 1.0]), 1)
+        with pytest.raises(ValueError):
+            estimate_level_set(reg, level, epsilon)
+
+
+@st.composite
+def estimator_data(draw):
+    """1-D or 2-D samples on a small lattice (most rows tie) or continuous,
+    with observations that are random, constant, subnormal, near 1e300, or
+    near the largest float (their prefix sums overflow), and a level that
+    is some row's exact prediction, one ulp off it, or at random."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(0, 4, (n, dim)).astype(float)
+    else:
+        X = rng.random((n, dim))
+    kind = draw(st.sampled_from(["normal", "constant", "subnormal", "1e300",
+                                 "huge", "wide"]))
+    y = {"normal": rng.standard_normal(n),
+         "constant": np.full(n, rng.standard_normal()),
+         "subnormal": rng.integers(-5, 6, n) * 5e-324,
+         "1e300": 1e300 * rng.standard_normal(n),
+         "huge": 1.7e308 * rng.choice([-1.0, 1.0, 1.0], n),
+         "wide": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+         }[kind]
+    k = draw(st.integers(1, n))
+    reg = make_regressor(Dataset(PointSet(X), y), k)
+    preds = predict_batch(reg, X)
+    level = draw(st.sampled_from(preds.tolist()))
+    step = draw(st.sampled_from(["exact", "down", "up", "random"]))
+    if step == "random":
+        level = draw(st.floats(allow_nan=False))
+    elif step != "exact":
+        level = float(np.nextafter(level, np.inf if step == "up" else -np.inf))
+    return reg, preds, level
+
+
+def tied_constant():
+    """Constant y on a lattice: every prediction ties at the level."""
+    reg = make_regressor(data1d([0.0, 1.0, 1.0, 2.0, 3.0], [0.75] * 5), 2)
+    return reg, predict_batch(reg, reg.data.x.points), 0.75
+
+
+class TestFilteredEstimators:
+    """The level set and the argmax settled from bounded float means equal
+    thresholding and np.argmax over every exact prediction."""
+
+    @given(estimator_data())
+    @example(data=tied_constant())
+    # 200 examples, ten times that under --hypothesis-profile=deep.
+    @settings(max_examples=2 * settings.default.max_examples, deadline=None)
+    def test_equal_exact_decisions(self, data):
+        reg, preds, level = data
+        lower, upper = structures._sample_bounds(reg.index, reg.data.y, reg.k)
+        assert (lower <= preds).all() and (preds <= upper).all()
+        assert np.array_equal(estimate_level_set(reg, level, 0.0)
+                              .member_indices,
+                              np.flatnonzero(preds >= level))
+        assert estimate_maxima(reg).argmax_index == np.argmax(preds)
+
+    def test_smooth_data_settles_few_rows_exactly(self, monkeypatch):
+        # On a smooth 1-D sample the bounds decide almost every row; the
+        # maxima still predicts at least one row through predict_batch.
+        rng = np.random.default_rng(9)
+        x = rng.random(4000)
+        reg = make_regressor(data1d(x, np.sin(6 * x) + rng.standard_normal(
+            4000)), 200)
+        rows = []
+
+        def counting(reg, queries):
+            rows.append(len(queries))
+            return predict_batch(reg, queries)
+
+        monkeypatch.setattr(structures, "predict_batch", counting)
+        preds = predict_batch(reg, reg.data.x.points)
+        est = estimate_level_set(reg, 0.5, 0.0)
+        assert np.array_equal(est.member_indices,
+                              np.flatnonzero(preds >= 0.5))
+        assert estimate_maxima(reg).argmax_index == np.argmax(preds)
+        assert 1 <= rows[-1] and sum(rows) < 40
+
+
+class TestPointCloud:
+    @pytest.mark.parametrize("dim, shape", [(2, (3, 4)), (1, (3, 2))])
+    def test_columns_must_match_dim(self, dim, shape):
+        with pytest.raises(ValueError):
+            PointCloud(dim=dim, points=np.zeros(shape))
+
+    def test_flat_points_take_dim_columns(self):
+        assert PointCloud(dim=2, points=np.arange(6.0)).points.shape == (3, 2)
 
 
 class TestTrueLevelSetGrid:
