@@ -44,6 +44,11 @@ EXPERIMENT_KINDS = ("regression", "levelset", "maxima", "coverage", "setcount")
 # 2-D their coordinates alone take 64 MiB.
 PROBE_BUDGET = 2 ** 22
 
+# The most sample coordinates (n times the ambient D) a rung may draw: 51
+# times the largest canned sample (32,768 points in R^10).  Batch calls work
+# in fixed-size chunks, so n * k sizes no allocation; n * D does.
+SAMPLE_BUDGET = 2 ** 24
+
 CSV_HEADER = "experiment,n,k,seed,quantity,value,bound,valid_k,ms"
 
 
@@ -145,6 +150,12 @@ class ExperimentConfig:
             raise ConfigError("level.m2: must be nonnegative and finite")
         if self.density is None and self.manifold is None:
             raise ConfigError("density.kind or manifold.kind is required")
+        size = ladder[-1] * (self.density.dim if self.manifold is None
+                             else self.manifold.ambient_dim)
+        if size > SAMPLE_BUDGET:
+            raise ConfigError(f"ladder.n: asks for {size} sample coordinates"
+                              f" (n times D), over the budget of "
+                              f"{SAMPLE_BUDGET}")
         # probe_set lays probe_cells points along a manifold's arc length;
         # it and run_levelset lay probe_cells + 1 points per axis over a box
         # of up to two dimensions (any dimension for levelset); other boxes

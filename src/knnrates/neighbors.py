@@ -8,9 +8,9 @@ Two query paths are provided: an index for speed and a brute-force full
 scan as the correctness oracle.  Both decide membership with the same
 squared-distance arithmetic and exact float comparisons (no epsilon), so
 their answers agree bit for bit.  That arithmetic (`_sq_dists`) is one
-whole-array operation per coordinate, with the squares added in numpy's
-own pairwise order, so it has the bits of numpy's sum over the
-coordinates at a fraction of its cost in low dimensions.
+whole-array operation per coordinate, with the squares added left to
+right in coordinate order, so its bits depend on no library's reduction
+order.
 
 In D = 1 the index is the sorted order of the coordinate and holds no
 tree, so no 1-D path loads scipy.  The neighbor set of a query is a
@@ -39,9 +39,10 @@ The mean of observations over a neighbor set (`predict_batch`, and
 divided by the member count, rounded once, so it does not depend on the
 order of the members.  The exact sums come from int64 limbs of the
 observations (`_limbs`); in D = 1 a row's sum is the difference of two
-prefix sums over the sorted order, so no row is gathered or sorted.  A
-batch rounds up to _MEAN_ROWS rows' sums at once, tied or not (`_means`,
-in int64 numpy with no Python int per row).  A scalar mean divides one
+prefix sums over the sorted order, taken over the span of the batch's
+runs alone, so no row is gathered or sorted.  A batch rounds up to
+_MEAN_ROWS rows' sums at once, tied or not (`_means`, in int64 numpy
+with no Python int per row).  A scalar mean divides one
 Python int (`_exact_mean`), the oracle the batch rounding is tested
 against.  The estimators at the sample points start from float means with
 a proven error bound (`_sample_bounds`) and round only the rows it leaves
@@ -151,41 +152,8 @@ def as_point_set(points) -> PointSet:
     return points if isinstance(points, PointSet) else PointSet(points)
 
 
-def _pairwise_sum(term, lo: int, m: int) -> np.ndarray:
-    """term(lo) + ... + term(lo + m - 1) in numpy's own pairwise order.
-
-    This is the order of numpy's sum over a contiguous axis: left to right
-    for fewer than 8 terms; up to 128 terms, eight running sums over
-    strides of 8, combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
-    remainder left to right; above 128, the sum of two halves split at a
-    multiple of 8.  numpy starts from zero, which changes no bit of a sum
-    of terms that are never -0.0.  Each term must be a fresh array, since
-    the sums accumulate in place.
-    """
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        out = _pairwise_sum(term, lo, half)
-        out += _pairwise_sum(term, lo + half, m - half)
-        return out
-    if m < 8:
-        out = term(lo)
-        for j in range(lo + 1, lo + m):
-            out += term(j)
-        return out
-    r = [term(lo + j) for j in range(8)]
-    end = lo + m - m % 8
-    for i in range(lo + 8, end, 8):
-        for j, acc in enumerate(r):
-            acc += term(i + j)
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        r[a] += r[b]
-    for j in range(end, lo + m):
-        r[0] += term(j)
-    return r[0]
-
-
 def _sq_dists(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared distances from q to each row of pts, reduced over the last
+    """Squared distances from q to each row of pts, over the last
     (coordinate) axis.
 
     q is one point, or a block of points that broadcasts against pts, such
@@ -195,18 +163,18 @@ def _sq_dists(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
     that the index, the oracle, and the batch paths share identical
     floating-point arithmetic.
 
-    The result has the bits of (diff * diff).sum(axis=-1), but is built
-    from D whole-array column operations, since numpy's reduction over a
-    short trailing axis costs several times more than the same arithmetic
-    done a column at a time.  Rounding depends on the order of the
-    additions, so the squares are added in numpy's own order
-    (_pairwise_sum).
+    The squares are added left to right, coordinate 0 first, one
+    whole-array column operation each: the sum has the (D - 1) u relative
+    error bound of recursive summation that _REL_SLACK assumes, its bits
+    depend on no library's reduction order, and it costs far less than
+    numpy's reduction over a short trailing axis.
     """
-    def square(j):
+    out = np.subtract(pts[..., 0], q[..., 0])
+    np.multiply(out, out, out=out)
+    for j in range(1, pts.shape[-1]):
         diff = np.subtract(pts[..., j], q[..., j])
-        return np.multiply(diff, diff, out=diff)
-
-    return _pairwise_sum(square, 0, pts.shape[-1])
+        out += np.multiply(diff, diff, out=diff)
+    return out
 
 
 def _check_query(q, dim: int) -> np.ndarray:
@@ -394,13 +362,19 @@ def _limbs(y: np.ndarray):
     any finite y, subnormals included, is covered.  Returns
     (parts, bits, e).
     """
+    # Temporaries go once used: this pass sets a large 1-D batch's peak.
     frac, s = np.frexp(y)
-    mant = np.ldexp(frac, 53).astype(np.int64)
-    nonzero = mant != 0
+    mag = np.ldexp(frac, 53).astype(np.int64)
+    del frac
+    nonzero = mag != 0
     e = int(s[nonzero].min()) - 53 if nonzero.any() else 0
-    shift = np.where(nonzero, s.astype(np.int64) - 53 - e, 0)
+    shift = s.astype(np.int64)
+    del s
+    shift -= 53 + e
+    shift *= nonzero
     bits = 63 - y.size.bit_length()
-    mag = np.abs(mant)
+    neg = mag < 0
+    np.abs(mag, out=mag)
     parts = np.empty(((int(shift.max(initial=0)) + 52) // bits + 1, y.size),
                      dtype=np.int64)
     for limb, part in enumerate(parts):
@@ -410,7 +384,7 @@ def _limbs(y: np.ndarray):
         up = np.minimum(np.maximum(shift - bits * limb, 0), bits)
         down = np.maximum(bits * limb - shift, 0)
         part[:] = ((mag >> down) & ((1 << (bits - up)) - 1)) << up
-    parts *= np.sign(mant)
+    np.negative(parts, out=parts, where=neg)
     return parts, bits, e
 
 
@@ -597,21 +571,23 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     test, and only the rows it fails binary-search.  Every row's squared
     radius is its window's r2, a fast row's members are its window, and
     any other row's members are the run _widen finds, an infinite r2
-    included; either way a row's limb sums are the differences of the
-    prefix sums at the ends of its run.  In D >= 2 each chunk takes one k+1
-    tree query.  A row with a clear distance gap after the k-th neighbor
-    has its k tree neighbors as its whole set: its radius is the max exact
-    distance over them, its limb sums are theirs (one limb at a time).  The
-    other rows with a finite tree k-th distance are settled together by
-    _tied_rows, and only rows whose tree k-th distance is not finite (it
-    bounds no candidate set) take knn_query.  Every row's limb sums and
-    member count go into one (limbs, rows) array for the call, and _means
-    rounds it _MEAN_ROWS rows at a time (once for most calls).  Every mean
-    is the correctly rounded one, so every row gets the bits of a scalar
-    loop.  A call splits its rows evenly among the fewest chunks of at
-    most _CHUNK_ENTRIES (2^16) entries, one per D = 1 row and k+1 per
-    D >= 2 row (about 2 MiB at a chunk's peak), or of one row when k+1
-    alone exceeds that, and runs them at once on the usable CPUs
+    included.  Once every row has its run, the limbs of the observations
+    over the span of the call's runs alone, and their prefix sums, give
+    each row's limb sums as the differences at the ends of its run, so a
+    call of few rows reads few observations.  In D >= 2 each chunk takes
+    one k+1 tree query.  A row with a clear distance gap after the k-th
+    neighbor has its k tree neighbors as its whole set: its radius is the
+    max exact distance over them, its limb sums are theirs (one limb at a
+    time).  The other rows with a finite tree k-th distance are settled
+    together by _tied_rows, and only rows whose tree k-th distance is not
+    finite (it bounds no candidate set) take knn_query; every row's limb
+    sums and member count go into one (limbs, rows) array for the call.
+    _means rounds the rows' sums _MEAN_ROWS rows at a time (once for most
+    calls).  Every mean is the correctly rounded one, so every row gets the
+    bits of a scalar loop.  A call splits its rows evenly among the fewest
+    chunks of at most _CHUNK_ENTRIES (2^16) entries, one per D = 1 row and
+    k+1 per D >= 2 row (about 2 MiB at a chunk's peak), or of one row when
+    k+1 alone exceeds that, and runs them at once on the usable CPUs
     (_map_on_cpus), or in a loop when called from a pool worker such as a
     study's trial.  Each chunk writes its own rows, and rows are settled
     independently, so neither chunks nor threads change a bit.
@@ -627,31 +603,23 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     k = _check_k(k, ps.n)
     order, xs = index._order, index._xs
     out = np.empty(Q.shape[0], dtype=np.float64)
-    if y is not None:
-        # A permutation keeps the limbs' scale, so in D = 1 take the limbs
-        # of y in sorted order.
-        parts, bits, e = _limbs(y if order is None else y[order])
-        sums = np.empty((parts.shape[0], Q.shape[0]), dtype=np.int64)
-        counts = np.empty(Q.shape[0], dtype=np.int64)
     if order is not None:
         cap = _CHUNK_ENTRIES
         mids = 0.5 * xs[:ps.n - k] + 0.5 * xs[k:]
         if y is not None:
-            # Only the limbs' prefix sums are kept.
-            prefix = np.zeros((parts.shape[0], ps.n + 1), dtype=np.int64)
-            np.cumsum(parts, axis=1, out=prefix[:, 1:])
-            del parts
+            run_lo = np.empty(Q.shape[0], dtype=np.intp)
+            run_hi = np.empty(Q.shape[0], dtype=np.intp)
     else:
         cap = max(1, _CHUNK_ENTRIES // (k + 1))
+        if y is not None:
+            parts, bits, e = _limbs(y)
+            sums = np.empty((parts.shape[0], Q.shape[0]), dtype=np.int64)
+            counts = np.empty(Q.shape[0], dtype=np.int64)
     chunks = -(-Q.shape[0] // cap)
     rows = -(-Q.shape[0] // chunks) if chunks else 1
 
     def chunk(lo):
         qc = Q[lo:lo + rows]
-        if y is None:
-            block = out[lo:lo + rows]
-        else:
-            block_s, block_n = sums[:, lo:lo + rows], counts[lo:lo + rows]
         if order is not None:
             qx = qc[:, 0]
             # searchsorted runs several times faster over sorted keys.
@@ -659,12 +627,15 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
             start = np.empty_like(by)
             start[by] = np.searchsorted(mids, qx[by])
             if y is None:
-                block[:] = np.sqrt(_windows(xs, qx, k, start)[1])
+                out[lo:lo + rows] = np.sqrt(_windows(xs, qx, k, start)[1])
             else:
-                run_lo, run_hi, _ = _runs(xs, qx, k, start)
-                np.subtract(prefix[:, run_hi], prefix[:, run_lo], out=block_s)
-                np.subtract(run_hi, run_lo, out=block_n)
+                run_lo[lo:lo + rows], run_hi[lo:lo + rows], _ = _runs(
+                    xs, qx, k, start)
             return
+        if y is None:
+            block = out[lo:lo + rows]
+        else:
+            block_s, block_n = sums[:, lo:lo + rows], counts[lo:lo + rows]
         d, idx = index._tree.query(qc, k=k + 1)
         dk = d[:, k - 1]
         fast = d[:, k] > dk * (1.0 + _REL_SLACK)
@@ -693,11 +664,26 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
                 block_n[row] = ns.count
 
     _map_on_cpus(chunk, range(0, Q.shape[0], rows))
-    if y is not None:
-        for lo in range(0, Q.shape[0], _MEAN_ROWS):
-            out[lo:lo + _MEAN_ROWS] = _means(sums[:, lo:lo + _MEAN_ROWS],
-                                             counts[lo:lo + _MEAN_ROWS],
-                                             bits, e)
+    if y is None:
+        return out
+    if order is not None:
+        # Only the span [a, b) of the rows' runs is read: its limbs, in
+        # sorted order, and their prefix sums, since a correctly rounded
+        # mean does not depend on the limbs' scale.
+        a = int(run_lo.min(initial=ps.n))
+        b = int(run_hi.max(initial=a))
+        parts, bits, e = _limbs(y[order[a:b]])
+        prefix = np.zeros((parts.shape[0], b - a + 1), dtype=np.int64)
+        np.cumsum(parts, axis=1, out=prefix[:, 1:])
+        del parts
+    for i in range(0, Q.shape[0], _MEAN_ROWS):
+        block = slice(i, i + _MEAN_ROWS)
+        if order is None:
+            out[block] = _means(sums[:, block], counts[block], bits, e)
+        else:
+            lo, hi = run_lo[block] - a, run_hi[block] - a
+            out[block] = _means(prefix[:, hi] - prefix[:, lo], hi - lo,
+                                bits, e)
     return out
 
 

@@ -38,6 +38,9 @@ def config_path(tmp_path):
 # (line of CONFIG, its replacement, the key the error must name)
 BAD_VALUES = [pytest.param(*case, id=case[2]) for case in [
     ("probes.cells = 64", "probes.cells = 0", "probes.cells"),
+    # A rung whose sample no machine could hold (8 TiB of coordinates).
+    ("ladder.n = 32, 64, 128, 256", "ladder.n = 32, 1099511627776",
+     "ladder.n"),
     ("density.high = 1.0", "density.high = -1.0", "density.high"),
     ("density.kind = uniform-box",
      "density.kind = truncated-mixture\ndensity.bump_center = 0.5\n"

@@ -473,6 +473,32 @@ class TestProbes:
             del pairs[name]
         assert build_config(pairs).probe_cells == 4194304
 
+    @pytest.mark.parametrize("over", [
+        {},
+        {"density.low": "0, 0", "density.high": "1, 1",
+         "field.center": "0.5, 0.5"},
+        {"manifold.kind": "circle", "manifold.ambient_dim": "4",
+         "manifold.radius": "0.1592"}])
+    def test_sample_budget_edge(self, over):
+        # The largest rung may draw exactly SAMPLE_BUDGET coordinates (n
+        # times the ambient D); one point more is a config error that names
+        # ladder.n.  Only the config is built: nothing is sampled.
+        from knnrates.experiments import SAMPLE_BUDGET
+
+        dim = int(over.get("manifold.ambient_dim",
+                           len(over.get("density.low", "0").split(","))))
+        edge = SAMPLE_BUDGET // dim
+        pairs = base_pairs(**over)
+        if "manifold.kind" in over:
+            for name in [n for n in pairs
+                         if n.startswith(("density.", "field."))]:
+                del pairs[name]
+        pairs["ladder.n"] = f"32, {edge}"
+        assert build_config(pairs).n_ladder[-1] * dim == SAMPLE_BUDGET
+        pairs["ladder.n"] = f"32, {edge + 1}"
+        with pytest.raises(ConfigError, match=r"^ladder\.n: .* budget"):
+            build_config(pairs)
+
     def test_manifold_probe(self):
         cfg = build_config({
             "experiment.kind": "regression", "seed.master": "1",

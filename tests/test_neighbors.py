@@ -185,9 +185,9 @@ class TestBatchRadii:
         # its k-th distance, which all 12 neighbors share, exactly at the
         # origin and within _REL_SLACK at the tiny offsets.  D = 3 embeds
         # the plane; D = 8 holds four copies of the halved coordinates,
-        # since from 8 coordinates on the kd-tree adds its squares in
-        # another order than _sq_dists, so its k-th column need not hold
-        # the largest exact distance.
+        # since the kd-tree may add its squares in another order than
+        # _sq_dists, so its k-th column need not hold the largest exact
+        # distance.
         from knnrates.neighbors import _REL_SLACK, _sq_dists
 
         plane = np.array([(5, 0), (-5, 0), (0, 5), (0, -5), (3, 4), (3, -4),
@@ -215,11 +215,13 @@ class TestBatchRadii:
 
 
 class TestSqDists:
-    # _sq_dists adds its squares a column at a time in numpy's own
-    # reduction order; its bits must equal the reduction it stands for on
-    # every shape its callers pass: points against one query (the oracle),
-    # a query block against the points (the set counter) and candidate
-    # blocks against their own queries (the D >= 2 batch paths).
+    # _sq_dists adds its squares a column at a time, left to right in
+    # coordinate order; its bits must equal a per-row reference that adds
+    # Python floats in that order, on every shape its callers pass: points
+    # against one query (the oracle), a query block against the points (the
+    # set counter) and candidate blocks against their own queries (the
+    # D >= 2 batch paths).  The test keeps its first name, from when the
+    # reference was numpy's own reduction.
     @pytest.mark.parametrize("dim", [*range(1, 41), 129, 300])
     def test_bits_equal_numpy_reduction(self, dim):
         from knnrates.neighbors import _sq_dists
@@ -236,16 +238,27 @@ class TestSqDists:
             x[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
             return x
 
+        def left_to_right(p, q):
+            # Python floats are IEEE doubles; a plain loop, since sum() may
+            # compensate its rounding.
+            total = (p[0] - q[0]) * (p[0] - q[0])
+            for a, b in zip(p[1:], q[1:]):
+                total += (a - b) * (a - b)
+            return total
+
         for pts_shape, q_shape in [((37, dim), (dim,)),
                                    ((37, dim), (9, 1, dim)),
                                    ((9, 11, dim), (9, 1, dim))]:
             for _ in range(6):
                 pts, q = draw(pts_shape), draw(q_shape)
+                shape = np.broadcast_shapes(pts.shape, q.shape)
+                rows_p = np.broadcast_to(pts, shape).reshape(-1, dim).tolist()
+                rows_q = np.broadcast_to(q, shape).reshape(-1, dim).tolist()
+                want = np.array([left_to_right(p, r)
+                                 for p, r in zip(rows_p, rows_q)])
                 with np.errstate(over="ignore", under="ignore"):
-                    diff = pts - q
-                    want = (diff * diff).sum(axis=-1)
                     got = _sq_dists(pts, q)
-                assert got.shape == want.shape
+                assert got.shape == shape[:-1]
                 assert got.tobytes() == want.tobytes()
 
     def test_leaves_no_reference_to_its_inputs(self):

@@ -220,6 +220,63 @@ class TestBatchAgreement1D:
                               bits([knn_query(reg.index, q, 9).radius
                                     for q in Q]))
 
+    def test_limbs_span_the_rows_runs(self, monkeypatch):
+        # A call takes the limbs of the observations over the span of its
+        # rows' runs alone, so a one-row call reads its own run, no more.
+        X, y = tie_data()
+        real, sizes = neighbors._limbs, []
+
+        def recorder(values):
+            sizes.append(values.size)
+            return real(values)
+
+        monkeypatch.setattr(neighbors, "_limbs", recorder)
+        for k in (1, 5, 150):
+            reg = make_regressor(Dataset(PointSet(X), y), k)
+            for q in queries_1d(X[:, 0]):
+                sizes.clear()
+                predict_batch(reg, [q])
+                assert sizes == [knn_query(reg.index, [q], k).count]
+
+    @pytest.mark.parametrize("k", [1, 3, 40, 150])
+    def test_span_edges_and_ties_equal_scalar_bitwise(self, k):
+        # Batches whose span starts at index 0 of the sorted order, ends at
+        # n, both or neither, with tied runs at its ends.  Observations of
+        # far exponents outside most spans give the full set another limb
+        # scale than a span's.
+        X, y = tie_data()
+        y[np.flatnonzero(X[:, 0] == 40.0)] = 2.0 ** 1000
+        y[0] = 5e-324
+        reg = make_regressor(Dataset(PointSet(X), y), k)
+        left, right, tied = [-7.0, 0.0], [40.0, 47.0], [20.0, 20.5, 0.5]
+        for Q in (left, right, tied, [13.0], left + right, tied + right,
+                  left + tied):
+            Q = np.array(Q).reshape(-1, 1)
+            assert np.array_equal(bits(predict_batch(reg, Q)),
+                                  bits([predict(reg, q) for q in Q]))
+
+    def test_many_rows_peak_bounded(self):
+        # 2^16 rows over 2^16 points: the runs' end points and the span's
+        # limb prefix sums, rounded _MEAN_ROWS rows at a time.  A batch that
+        # took the limbs of all n observations and held every row's limb
+        # sums peaked at 7.6 MiB on this input (numpy 2.4).
+        import tracemalloc
+
+        rng = np.random.default_rng(59)
+        n = 2 ** 16
+        X = rng.random((n, 1))
+        reg = make_regressor(Dataset(PointSet(X), rng.standard_normal(n)), 64)
+        Q = rng.random((n, 1))
+        tracemalloc.start()
+        try:
+            out = predict_batch(reg, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 2 ** 20
+        for q, got in zip(Q[::4096], out[::4096]):
+            assert bits(got) == bits(predict(reg, q))
+
     def test_overflow_gets_the_oracle_answer(self):
         # Scaled by 2**600 most squared distances overflow to inf.  A row
         # whose k-th one is inf gets radius inf and every point as a member,
@@ -354,6 +411,37 @@ class TestTiedRows:
                 ns, oracle = knn_query(reg.index, q, k), brute_force_knn(X, q, k)
                 assert bits(ns.radius) == bits(oracle.radius)
                 assert np.array_equal(ns.member_indices, oracle.member_indices)
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_swapped_coordinates_tie_in_10d(self, k, monkeypatch):
+        # Each point a comes with b, a with coordinates 0 and 1 swapped.
+        # From a query whose coordinates 0 and 1 are equal, their squared
+        # distances, added left to right, start with the same first sum and
+        # go on with equal terms, so they tie bit for bit: at odd k every
+        # such row ties at the k-th distance and is settled by _tied_rows.
+        # The other queries are random.
+        rng = np.random.default_rng(k)
+        A = rng.random((40, 10))
+        X = np.vstack([A, A[:, [1, 0, *range(2, 10)]]])
+        y = rng.standard_normal(80)
+        Q = rng.random((60, 10))
+        Q[:40, 1] = Q[:40, 0]
+        reg = make_regressor(Dataset(PointSet(X), y), k)
+        real, settled = neighbors._tied_rows, []
+        monkeypatch.setattr(neighbors, "_tied_rows", lambda index, qs, *a:
+                            settled.append(len(qs)) or real(index, qs, *a))
+        scalar = []
+        for q in Q:
+            ns, oracle = knn_query(reg.index, q, k), brute_force_knn(X, q, k)
+            assert bits(ns.radius) == bits(oracle.radius)
+            assert np.array_equal(ns.member_indices, oracle.member_indices)
+            scalar.append(ns)
+        assert sum(ns.count > k for ns in scalar) >= 40
+        assert np.array_equal(bits(knn_radii(reg.index, Q, k)),
+                              bits([ns.radius for ns in scalar]))
+        assert np.array_equal(bits(predict_batch(reg, Q)),
+                              bits([predict(reg, q) for q in Q]))
+        assert sum(settled) >= 2 * 40
 
     @pytest.mark.parametrize("path", ["predict_batch", "knn_radii"])
     @pytest.mark.parametrize("dim", [1, 2])

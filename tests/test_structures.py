@@ -352,22 +352,24 @@ class TestSetCount:
             oracle_counts(points, ks, probes)
 
     def test_ties_follow_sq_dists_summation_order(self):
-        # In D = 10, b holds a's coordinates with the pairs (0, 1) and
-        # (2, 3) swapped.  numpy sums ten squares pairwise, so |a|^2 and
-        # |b|^2 tie bit for bit, while a left-to-right sum splits them.
-        # The probes see {a, b}, {a} and {b} at k = 1.
-        a = np.random.default_rng(1).random(10)
-        b = a[[2, 3, 0, 1, 4, 5, 6, 7, 8, 9]]
+        # In D = 16, b holds a's coordinates with 0 and 1 swapped.  Added
+        # left to right, the squares of a and of b start with the same
+        # first sum and go on with equal terms, so |a|^2 and |b|^2 tie bit
+        # for bit; added pairwise over eight running sums (numpy's order
+        # for 16 terms), they split at this seed.  The probes see {a, b},
+        # {a} and {b} at k = 1.
+        a = np.random.default_rng(3).random(16)
+        b = a[[1, 0, *range(2, 16)]]
 
-        def left_to_right(v):
-            total = 0.0
-            for x in v * v:
-                total += x
-            return total
+        def pairwise(v):
+            t = v * v
+            r = [t[j] + t[j + 8] for j in range(8)]
+            return ((r[0] + r[1]) + (r[2] + r[3])) + \
+                ((r[4] + r[5]) + (r[6] + r[7]))
 
-        assert left_to_right(a) != left_to_right(b)
-        points = np.vstack([a, b, np.full(10, 5.0)])
-        probes = np.vstack([np.zeros(10), a, b])
+        assert pairwise(a) != pairwise(b)
+        points = np.vstack([a, b, np.full(16, 5.0)])
+        probes = np.vstack([np.zeros(16), a, b])
         data = Dataset(PointSet(points), np.zeros(3))
         assert oracle_counts(points, [1], probes) == [3]
         assert count_distinct_knn_sets(data, [1], probes) == [3]
