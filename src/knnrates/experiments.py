@@ -131,6 +131,9 @@ class ExperimentConfig:
             raise ConfigError("k.values: entries must be distinct")
         if self.kind == "setcount" and not self.k_values:
             raise ConfigError("k.values is required for setcount experiments")
+        if self.kind != "setcount" and self.k_values:
+            raise ConfigError(f"k.values: {self.kind} experiments take their "
+                              "one k per rung from k.rule")
         if self.kind == "levelset" and self.level_lambda is None:
             raise ConfigError("level.lambda is required for levelset "
                               "experiments")
@@ -284,28 +287,22 @@ def _try(fn, *args, **kwargs) -> float:
         return float("nan")
 
 
-def _map_trials(trial, jobs) -> list:
-    """The records of `trial(job)` for each job, concatenated in job order.
+def _run_trials(cfg: ExperimentConfig, fld: ScalarField,
+                setting: Optional[str], bounds, measure) -> list:
+    """The n-ladder x seed trials of every runner.
 
-    Each trial draws from its own (master, n, seed, label) streams and
-    builds its own index, so on the usable CPUs (neighbors._map_on_cpus)
+    Per rung it takes the ks of `k.values` up to n, or else the one k of
+    the k rule (a rung with no k has no trials), and for each k evaluates
+    `bounds(params, n, k)` (a dict from quantity to bound) and the k-window
+    validity for `setting` (None: no window, so valid), all before any
+    trial runs.  Per seed it draws the trial dataset from the (master, n,
+    seed, label) streams and records, for each k, the (quantity, value)
+    pairs that `measure(data, ks)` returns for it, with the wall time of
+    the whole trial, sampling included.  Each trial draws its own streams
+    and builds its own index, so on the usable CPUs (neighbors._map_on_cpus)
     the trials give the records, or the first failure, of a serial loop;
-    the batch calls they make in the pool's workers run their chunks serially.
-    """
-    return [record for records in _map_on_cpus(trial, jobs)
-            for record in records]
-
-
-def _run_trials(cfg: ExperimentConfig, fld: ScalarField, setting: str,
-                bounds, measure) -> list:
-    """The n-ladder x seed trials shared by the field-based runners.
-
-    Per rung it resolves k, evaluates `bounds(params, n, k)` (a dict from
-    quantity to bound) and the k-window validity for `setting`, all before
-    any trial runs.  Per seed it draws the trial dataset from the (master,
-    n, seed, label) streams and records every (quantity, value) pair that
-    `measure(data, k)` returns, with the trial's wall time.  The trials run
-    through _map_trials.
+    the batch calls they make in the pool's workers run their chunks
+    serially.
     """
     params = bound_params_for(cfg, fld)
     dim = cfg.manifold.d if cfg.manifold is not None else cfg.density.dim
@@ -313,12 +310,16 @@ def _run_trials(cfg: ExperimentConfig, fld: ScalarField, setting: str,
         else fld.metadata.alpha
     jobs = []
     for n in cfg.n_ladder:
-        k = resolve_k(cfg.k_rule, n, dim, smoothness)
-        rung = (n, k, bounds(params, n, k), _validity(params, n, k, setting))
-        jobs.extend((rung, s) for s in range(cfg.seeds_per_n))
+        ks = ([k for k in cfg.k_values if k <= n] if cfg.k_values
+              else [resolve_k(cfg.k_rule, n, dim, smoothness)])
+        checks = [(bounds(params, n, k),
+                   setting is None or _validity(params, n, k, setting))
+                  for k in ks]
+        if ks:
+            jobs.extend((n, ks, checks, s) for s in range(cfg.seeds_per_n))
 
     def trial(job):
-        (n, k, bound, valid), s = job
+        n, ks, checks, s = job
         t0 = time.perf_counter()
         seed = stream_seed(cfg.master_seed, n, s, "points")
         if cfg.manifold is not None:
@@ -327,13 +328,15 @@ def _run_trials(cfg: ExperimentConfig, fld: ScalarField, setting: str,
             x = sample_points(cfg.density, n, seed)
         noise = sample_noise(cfg.noise, n,
                              stream_seed(cfg.master_seed, n, s, "noise"))
-        pairs = measure(Dataset(x, fld.evaluate(x.points) + noise), k)
+        per_k = measure(Dataset(x, fld.evaluate(x.points) + noise), ks)
         ms = int(round(1000.0 * (time.perf_counter() - t0)))
         return [ExperimentRecord(cfg.kind, n, k, s, q, value, bound[q],
                                  valid, ms)
+                for k, (bound, valid), pairs in zip(ks, checks, per_k)
                 for q, value in pairs]
 
-    return _map_trials(trial, jobs)
+    return [record for records in _map_on_cpus(trial, jobs)
+            for record in records]
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +349,17 @@ def run_regression_rate(cfg: ExperimentConfig) -> list:
     fld = experiment_field(cfg)
     probes, _ = probe_set(cfg)
     manifold = cfg.manifold is not None
+
+    def measure(data, ks):
+        (k,) = ks
+        return [[("sup_error", sup_error(make_regressor(data, k), fld,
+                                         probes))]]
+
     return _run_trials(
         cfg, fld, "manifold" if manifold else "full",
         lambda params, n, k: {"sup_error": _try(
             bnd.holder_bound, params, n, k, manifold=manifold)},
-        lambda data, k: [("sup_error",
-                          sup_error(make_regressor(data, k), fld, probes))])
+        measure)
 
 
 @dataclass(frozen=True)
@@ -382,11 +390,12 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
                 "for the error and radius bounds")
         return {"sup_error": err_bound, "radius_max": rad_bound}
 
-    def measure(data, k):
+    def measure(data, ks):
+        (k,) = ks
         reg = make_regressor(data, k)
-        return [("sup_error", sup_error(reg, fld, probes)),
-                ("radius_max",
-                 float(knn_radii(reg.index, probes.points, k).max()))]
+        return [[("sup_error", sup_error(reg, fld, probes)),
+                 ("radius_max",
+                  float(knn_radii(reg.index, probes.points, k).max()))]]
 
     records = _run_trials(cfg, fld, "manifold" if manifold else "full",
                           bounds, measure)
@@ -413,14 +422,15 @@ def run_levelset(cfg: ExperimentConfig) -> list:
     truth = true_level_set_grid(fld, lam, grid)
     D = cfg.density.dim
 
-    def measure(data, k):
+    def measure(data, ks):
+        (k,) = ks
         reg = make_regressor(data, k)
         eps = level_set_epsilon(data, D, k, cfg.delta).epsilon
         est = estimate_level_set(reg, lam, eps)
         if truth.size == 0 or est.member_indices.size == 0:
-            return [("d_H", float("nan"))]
-        return [("d_H", hausdorff_distance(PointCloud(D, est.member_points),
-                                           truth))]
+            return [[("d_H", float("nan"))]]
+        return [[("d_H", hausdorff_distance(PointCloud(D, est.member_points),
+                                            truth))]]
 
     return _run_trials(
         cfg, fld, "levelset",
@@ -438,9 +448,10 @@ def run_maxima(cfg: ExperimentConfig) -> list:
                           "a declared maximizer")
     x0 = np.asarray(fld.metadata.argmax)
 
-    def measure(data, k):
+    def measure(data, ks):
+        (k,) = ks
         est = estimate_maxima(make_regressor(data, k))
-        return [("maxima_dist", float(np.linalg.norm(est.location - x0)))]
+        return [[("maxima_dist", float(np.linalg.norm(est.location - x0)))]]
 
     return _run_trials(
         cfg, fld, "maxima",
@@ -452,31 +463,16 @@ def run_maxima(cfg: ExperimentConfig) -> list:
 def run_setcount(cfg: ExperimentConfig) -> list:
     """Count distinct neighbor sets over a probe grid and record them next
     to the combinatorial cap.  A trial counts every k of `k.values` up to
-    its n; a rung with no such k has no trials."""
+    its n from one distance block (so each of its records carries the
+    trial's time); a rung with no such k has no trials.  The counter reads
+    the sample points alone, so the observations are a zero field's."""
     probes, _ = probe_set(cfg)
     D = cfg.density.dim
-    jobs = []
-    for n in cfg.n_ladder:
-        ks = [k for k in cfg.k_values if k <= n]
-        if ks:
-            rung = (n, ks, float(knn_set_count_bound(n, D)))
-            jobs.extend((rung, s) for s in range(cfg.seeds_per_n))
-
-    def trial(job):
-        (n, ks, cap), s = job
-        x = sample_points(cfg.density, n,
-                          stream_seed(cfg.master_seed, n, s, "points"))
-        data = Dataset(x=x, y=np.zeros(n))
-        # One trial counts every k from one distance block, so each of its
-        # records carries the trial's time.
-        t0 = time.perf_counter()
-        counts = count_distinct_knn_sets(data, ks, probes)
-        ms = int(round(1000.0 * (time.perf_counter() - t0)))
-        return [ExperimentRecord(cfg.kind, n, int(k), s, "set_count",
-                                 float(count), cap, True, ms)
-                for k, count in zip(ks, counts)]
-
-    return _map_trials(trial, jobs)
+    return _run_trials(
+        cfg, make_field("constant", value=0.0, dim=D), None,
+        lambda params, n, k: {"set_count": float(knn_set_count_bound(n, D))},
+        lambda data, ks: [[("set_count", float(count))] for count in
+                          count_distinct_knn_sets(data, ks, probes)])
 
 
 def run_experiment(cfg: ExperimentConfig):

@@ -177,13 +177,20 @@ def _sq_dists(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_query(q, dim: int) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    if q.shape[0] != dim:
-        raise ValueError(f"query has dimension {q.shape[0]}, index has {dim}")
-    if not np.isfinite(q).all():
+def _check_queries(queries, dim: int, one: bool = False) -> np.ndarray:
+    """The query rows as an (m, dim) float array, or with `one` the one row
+    as a (dim,) array.  It takes (m, dim) and flat (m * dim,) arrays or
+    lists, and a 0-d query on a 1-D index; any other shape, or a non-finite
+    coordinate, is a ValueError."""
+    Q = np.asarray(queries, dtype=np.float64)
+    if Q.ndim < 2 and Q.size % dim == 0:
+        Q = Q.reshape(-1, dim)
+    if Q.ndim != 2 or Q.shape[1] != dim or (one and Q.shape[0] != 1):
+        raise ValueError(f"query array of shape {np.shape(queries)} does "
+                         f"not fit an index of dimension {dim}")
+    if not np.isfinite(Q).all():
         raise ValueError("query contains non-finite coordinates")
-    return q
+    return Q[0] if one else Q
 
 
 def _check_k(k: int, n: int) -> int:
@@ -216,7 +223,7 @@ def build_index(points) -> SpatialIndex:
 def brute_force_knn(points, query, k: int) -> NeighborSet:
     """Full-scan oracle: the reference answer for knn_query."""
     ps = as_point_set(points)
-    q = _check_query(query, ps.dim)
+    q = _check_queries(query, ps.dim, one=True)
     k = _check_k(k, ps.n)
     d2 = _sq_dists(ps.points, q)
     r2 = np.partition(d2, k - 1)[k - 1]
@@ -233,7 +240,7 @@ def knn_query(index: SpatialIndex, query, k: int) -> NeighborSet:
     candidates are refined exactly.
     """
     ps = index.source
-    q = _check_query(query, ps.dim)
+    q = _check_queries(query, ps.dim, one=True)
     k = _check_k(k, ps.n)
     order, xs = index._order, index._xs
     if order is not None:
@@ -593,13 +600,7 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     independently, so neither chunks nor threads change a bit.
     """
     ps = index.source
-    Q = np.asarray(queries, dtype=np.float64)
-    if Q.ndim == 1:
-        Q = Q.reshape(-1, ps.dim)
-    if Q.shape[1] != ps.dim:
-        raise ValueError(f"queries have dimension {Q.shape[1]}, index has {ps.dim}")
-    if not np.isfinite(Q).all():
-        raise ValueError("query contains non-finite coordinates")
+    Q = _check_queries(queries, ps.dim)
     k = _check_k(k, ps.n)
     order, xs = index._order, index._xs
     out = np.empty(Q.shape[0], dtype=np.float64)

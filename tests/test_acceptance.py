@@ -7,6 +7,7 @@ seconds on a 2-vCPU machine, most of it in the 10-D manifold study (AC3)
 and the level-set ladder (AC6).
 """
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -32,6 +33,34 @@ def study_config(name):
 def report(criterion, ok, detail):
     print(f"{criterion}: {'PASS' if ok else 'FAIL'} ({detail})", flush=True)
     assert ok, f"{criterion}: {detail}"
+
+
+# sha256 of each canned study's CSV, as scripts/run_all.py writes it with
+# the config's own seed.  The setcount one was taken before the counter
+# shared one distance block between the ks of a trial.
+CANNED_CSV_SHA256 = {
+    "holder_rate.cfg":
+        "f57c2ff451f8c2749d0046a29ea42bcc5212a538121a4b1716dad5deab292dd4",
+    "manifold_rate.cfg":
+        "c3b692dae12f8f5ed5dddee285eb94fbab0aa5588a5ed6c1e3db03aef0a85f40",
+    "variance_scaling_k64.cfg":
+        "dc7aafba1a152dbab29af0af3902e8c56bbb6270eee074849b716b303f47c768",
+    "variance_scaling_k128.cfg":
+        "0aeece8bee275e15948016de9ccec9436eeacf5e3bcb2340225f91402c0b7b35",
+    "coverage.cfg":
+        "289cf6ce5324a7622fb2b1d689b057b8e2238595a6c72b303651ea1f7c9f006f",
+    "levelset_rate.cfg":
+        "2696149e9e47b2d8b6b47b48d1ab5d70cdfae3701647fb0895d15a1591c2a872",
+    "maxima_rate.cfg":
+        "bc1fe1a83829d7c9450ba0120d8766d6f4214c27eb91fc765bfba5466daff7f8",
+    "setcount.cfg":
+        "96dff85aa78ae4d2ff06b8019a437ffea201b3098a4669ae384df5861bcb59ed",
+}
+
+
+def assert_canned_bytes(name, records):
+    digest = hashlib.sha256(records_to_csv(records).encode("utf-8"))
+    assert digest.hexdigest() == CANNED_CSV_SHA256[name], name
 
 
 def test_ac1_oracle_equivalence():
@@ -64,6 +93,7 @@ def test_ac2_holder_rate():
     slope = fit_rate(records, "sup_error").slope
     report("AC2 sup-error rate", -0.43 <= slope <= -0.23,
            f"slope {slope:.4f} in [-0.43, -0.23], target -1/3")
+    assert_canned_bytes("holder_rate.cfg", records)
 
 
 def test_ac3_manifold_adaptation():
@@ -73,6 +103,7 @@ def test_ac3_manifold_adaptation():
            -0.43 <= slope <= -0.23 and slope < -0.15,
            f"slope {slope:.4f} in [-0.43, -0.23] and < -0.15 "
            "(ambient rate would be about -0.083)")
+    assert_canned_bytes("manifold_rate.cfg", records)
 
 
 def test_ac4_variance_scaling():
@@ -81,6 +112,7 @@ def test_ac4_variance_scaling():
                     ("variance_scaling_k128.cfg", 128)]:
         records = run_regression_rate(study_config(name))
         assert all(r.k == k for r in records)
+        assert_canned_bytes(name, records)
         med[k] = float(np.median([r.value for r in records]))
     ratio = med[128] / med[64]
     report("AC4 variance-term scaling", 0.6 <= ratio <= 0.82,
@@ -98,6 +130,7 @@ def test_ac5_coverage():
            f"radius coverage {res.radius_coverage:.3f} >= {rad_floor:.3f}, "
            f"violations {list(res.sup_violations)} "
            f"{list(res.radius_violations)}")
+    assert_canned_bytes("coverage.cfg", res.records)
 
 
 def test_ac6_level_set_rate():
@@ -111,6 +144,7 @@ def test_ac6_level_set_rate():
            f"slope {fit.slope:.4f} in [-0.48, -0.18], target -1/3; "
            f"grid spacing {spacing:.5f} <= half min median "
            f"{min_median / 2.0:.5f}")
+    assert_canned_bytes("levelset_rate.cfg", records)
 
 
 def test_ac7_maxima_rate():
@@ -118,25 +152,17 @@ def test_ac7_maxima_rate():
     slope = fit_rate(records, "maxima_dist").slope
     report("AC7 maxima rate", -0.30 <= slope <= -0.10,
            f"slope {slope:.4f} in [-0.30, -0.10], target -0.2")
-
-
-# sha256 of the canned setcount CSV, taken before the counter shared one
-# distance block between the ks of a trial.
-SETCOUNT_CSV_SHA256 = \
-    "96dff85aa78ae4d2ff06b8019a437ffea201b3098a4669ae384df5861bcb59ed"
+    assert_canned_bytes("maxima_rate.cfg", records)
 
 
 def test_ac8_set_count_bound():
-    import hashlib
-
     records = run_setcount(study_config("setcount.cfg"))
     violations = [(r.n, r.k, r.seed, r.value, r.bound) for r in records
                   if r.value > r.bound]
     report("AC8 distinct-set count bound", not violations,
            f"{len(records)} (n, k, seed) cases all within 2*n^2; "
            f"violations {violations}")
-    digest = hashlib.sha256(records_to_csv(records).encode("utf-8"))
-    assert digest.hexdigest() == SETCOUNT_CSV_SHA256
+    assert_canned_bytes("setcount.cfg", records)
 
 
 def _random_cloud(rng, max_pts=12, dim=2):

@@ -133,6 +133,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^k.values: .*distinct"):
             build_config(setcount_pairs(**{"k.values": "3, 1, 3"}))
 
+    @pytest.mark.parametrize("kind", ["regression", "coverage", "levelset",
+                                      "maxima"])
+    def test_k_values_only_for_setcount(self, kind):
+        # A study other than setcount takes its one k per rung from its k
+        # rule; k.values beside it is an error, not a silent second rule.
+        from dataclasses import replace
+
+        cfg = build_config(base_pairs(**{"k.rule": "fixed", "k.fixed": "3"}))
+        with pytest.raises(ConfigError, match="^k.values: "):
+            replace(cfg, kind=kind, level_lambda=0.5, k_values=(2, 5))
+
     def test_missing_required_named(self):
         pairs = base_pairs()
         del pairs["seed.master"]
@@ -396,6 +407,13 @@ class TestRunners:
         # Each trial counts both ks at once and carries its time in both.
         for n, s in ((4, 0), (4, 1), (8, 0), (8, 1)):
             assert len({r.ms for r in records if (r.n, r.seed) == (n, s)}) == 1
+
+    def test_setcount_rung_below_every_k_has_no_trials(self):
+        cfg = build_config(setcount_pairs(**{
+            "ladder.n": "2, 4", "k.values": "3", "probes.cells": "9",
+            "density.low": "0, 0", "density.high": "1, 1"}))
+        records = run_setcount(cfg)
+        assert [(r.n, r.k, r.seed) for r in records] == [(4, 3, 0), (4, 3, 1)]
 
     def test_maxima_without_argmax_field_rejected(self):
         cfg = build_config(base_pairs(**{

@@ -947,6 +947,48 @@ def test_nonfinite_query_gets_package_error(path, bad):
         call(np.array([[0.5, bad]]))
 
 
+# Malformed query arrays on a 1-D and a 2-D index: each path raises the
+# package's own ValueError, not an IndexError or a numpy or scipy error.
+@pytest.mark.parametrize("dim, shape", [
+    (1, (4, 1, 1)), (1, (2, 2)), (1, (1, 1, 1)), (2, ()), (2, (3, 2, 1)),
+    (2, (3,)), (2, (2, 1)), (2, (1, 1, 2)), (2, (4, 3))])
+@pytest.mark.parametrize("path", ["predict", "predict_batch", "knn_radii",
+                                  "knn_query", "brute_force_knn"])
+def test_malformed_query_gets_package_error(path, dim, shape):
+    rng = np.random.default_rng(5)
+    reg = make_regressor(Dataset(PointSet(rng.random((40, dim))),
+                                 rng.standard_normal(40)), 3)
+    call = {"predict": lambda q: predict(reg, q),
+            "predict_batch": lambda q: predict_batch(reg, q),
+            "knn_radii": lambda q: knn_radii(reg.index, q, 3),
+            "knn_query": lambda q: knn_query(reg.index, q, 3),
+            "brute_force_knn": lambda q: brute_force_knn(reg.data.x, q, 3)}
+    with pytest.raises(ValueError, match="^query array of shape "):
+        call[path](np.full(shape, 0.5))
+
+
+def test_accepted_query_shapes_agree():
+    # (m, D) arrays, flat ones of m * D coordinates and lists give the same
+    # rows; on a 1-D index a 0-d query is one row, for predict as for the
+    # batch.
+    rng = np.random.default_rng(6)
+    for dim in (1, 2):
+        reg = make_regressor(Dataset(PointSet(rng.random((40, dim))),
+                                     rng.standard_normal(40)), 3)
+        Q = rng.random((5, dim))
+        want = np.array([predict(reg, q) for q in Q])
+        for form in (Q, Q.reshape(-1), Q.tolist(), Q.reshape(-1).tolist()):
+            assert np.array_equal(predict_batch(reg, form), want)
+            assert np.array_equal(knn_radii(reg.index, form, 3),
+                                  [knn_query(reg.index, q, 3).radius
+                                   for q in Q])
+        assert predict(reg, Q[:1]) == predict(reg, Q[0].tolist()) == want[0]
+        if dim == 1:
+            q = np.float64(Q[0, 0])
+            assert predict(reg, q) == want[0]
+            assert predict_batch(reg, q).tolist() == [want[0]]
+
+
 class TestEquivariances:
     def test_scaling_by_power_of_two_exact(self):
         rng = np.random.default_rng(2)
