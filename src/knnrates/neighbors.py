@@ -76,13 +76,15 @@ _TIE_ENTRIES = 2 ** 14
 
 # Entries per batch chunk: a D >= 2 row counts its k+1 tree-query entries,
 # a D = 1 row one (its window holds a few scalars whatever k is).  A D >= 2
-# chunk peaks near 32 bytes per entry (tree distances and indices plus the
-# reductions' temporaries), and a knn_radii chunk adds 8 * D bytes per
-# entry for the coordinates of its gap rows' neighbors, so in low
-# dimensions a chunk stays near 2 MiB whatever k is.  A batch call runs
-# its chunks at once on the usable CPUs, or in a loop inside a study's
-# trial pool, so at most one chunk per usable CPU is live at once; the
-# chunk is kept small enough that those working sets add little to a
+# chunk keeps the tree's indices, 8 bytes per entry, once its gap test has
+# read the tree's distances; predict_batch adds one limb gather (8 bytes
+# per entry, near 1 MiB a chunk in all), and knn_radii the coordinates of
+# its gap rows' neighbors and their squared distances (8 * D + 8 bytes
+# per entry, near 2 MiB a chunk in D = 2), whatever k is.  The estimators'
+# 1-D bound pass (_sample_bounds) takes this many rows at a time.  A batch
+# call runs its chunks at once on the usable CPUs, or in a loop inside a
+# study's trial pool, so at most one chunk per usable CPU is live at once;
+# the chunk is kept small enough that those working sets add little to a
 # process's peak memory.
 _CHUNK_ENTRIES = 2 ** 16
 
@@ -582,22 +584,27 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     over the span of the call's runs alone, and their prefix sums, give
     each row's limb sums as the differences at the ends of its run, so a
     call of few rows reads few observations.  In D >= 2 each chunk takes
-    one k+1 tree query.  A row with a clear distance gap after the k-th
-    neighbor has its k tree neighbors as its whole set: its radius is the
-    max exact distance over them, its limb sums are theirs (one limb at a
-    time).  The other rows with a finite tree k-th distance are settled
-    together by _tied_rows, and only rows whose tree k-th distance is not
-    finite (it bounds no candidate set) take knn_query; every row's limb
-    sums and member count go into one (limbs, rows) array for the call.
+    one k+1 tree query and drops its distances once the gap test has read
+    them.  A row with a clear distance gap after the k-th neighbor has its
+    k tree neighbors as its whole set (a view of the tree's indices when
+    every row of the chunk has the gap): its radius is the max exact
+    distance over them, and its limb sums are theirs, summed one limb at a
+    time into the call's array.  The other rows with a finite tree k-th
+    distance are settled together by _tied_rows, and only rows whose tree
+    k-th distance is not finite (it bounds no candidate set) take
+    knn_query; every row's limb sums and member count go into one
+    (limbs, rows) array for the call.
     _means rounds the rows' sums _MEAN_ROWS rows at a time (once for most
     calls).  Every mean is the correctly rounded one, so every row gets the
     bits of a scalar loop.  A call splits its rows evenly among the fewest
     chunks of at most _CHUNK_ENTRIES (2^16) entries, one per D = 1 row and
-    k+1 per D >= 2 row (about 2 MiB at a chunk's peak), or of one row when
-    k+1 alone exceeds that, and runs them at once on the usable CPUs
-    (_map_on_cpus), or in a loop when called from a pool worker such as a
-    study's trial.  Each chunk writes its own rows, and rows are settled
-    independently, so neither chunks nor threads change a bit.
+    k+1 per D >= 2 row (16 bytes per entry, about 1 MiB, at a D >= 2
+    predict_batch chunk's peak: the tree's indices and one limb gather),
+    or of one row when k+1 alone exceeds that, and runs them at once on
+    the usable CPUs (_map_on_cpus), or in a loop when called from a pool
+    worker such as a study's trial.  Each chunk writes its own rows, and
+    rows are settled independently, so neither chunks nor threads change a
+    bit.
     """
     ps = index.source
     Q = _check_queries(queries, ps.dim)
@@ -638,15 +645,17 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
         else:
             block_s, block_n = sums[:, lo:lo + rows], counts[lo:lo + rows]
         d, idx = index._tree.query(qc, k=k + 1)
-        dk = d[:, k - 1]
+        # Only the gap test reads the distances; they go before the gathers.
+        dk = d[:, k - 1].copy()
         fast = d[:, k] > dk * (1.0 + _REL_SLACK)
-        members = idx[fast, :k]
+        del d
+        members = idx[:, :k] if fast.all() else idx[fast, :k]
         if y is None:
             d2 = _sq_dists(ps.points[members], qc[fast][:, None, :])
             block[fast] = np.sqrt(d2.max(axis=1))
         else:
-            block_s[:, fast] = np.stack([part[members].sum(axis=1)
-                                         for part in parts])
+            for limb, part in enumerate(parts):
+                block_s[limb, fast] = part[members].sum(axis=1)
             block_n[fast] = k
         tied = np.flatnonzero(~fast & np.isfinite(dk))
         if tied.size:
@@ -703,24 +712,34 @@ def _sample_bounds(index: SpatialIndex, y: np.ndarray, k: int):
     floats: for n u <= 1/10 the factor 2 covers rounding err, T and
     approx -+ err (at most X / 2 + u err), and 2**-1000 the subnormals.
     A row with a non-finite err (an overflowed sum) gets (-inf, inf).
+
+    The prefix sums, the window midpoints and both bounds are whole arrays;
+    the runs and the bounds' temporaries take _CHUNK_ENTRIES rows at a
+    time, so the pass peaks near 40 bytes a point however large n is, and
+    rows are independent, so the chunks change no bit.
     """
     order, xs = index._order, index._xs
     if order is None:
         p = _batch(index, index.source.points, k, y)
         return p, p
     n, u = xs.shape[0], 2.0 ** -53
-    lo, hi, _ = _runs(xs, xs, k,
-                      np.searchsorted(0.5 * xs[:n - k] + 0.5 * xs[k:], xs))
+    mids = 0.5 * xs[:n - k] + 0.5 * xs[k:]
     prefix, lower, upper = np.zeros(n + 1), np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(y[order], out=prefix[1:])
-        s, m = prefix[hi] - prefix[lo], hi - lo
-        approx, g = s / m, n * u / (1 - n * u)
-        err = 2 * ((2 * g * np.abs(y).sum() + u * np.abs(s)) / m +
-                   2 * u * np.abs(approx)) + 2.0 ** -1000
-        known = np.isfinite(err)
-        lower[order] = np.where(known, approx - err, -np.inf)
-        upper[order] = np.where(known, approx + err, np.inf)
+        g = n * u / (1 - n * u)
+        gT2 = 2 * g * np.abs(y).sum()
+        for i in range(0, n, _CHUNK_ENTRIES):
+            q = xs[i:i + _CHUNK_ENTRIES]
+            lo, hi, _ = _runs(xs, q, k, np.searchsorted(mids, q))
+            s, m = prefix[hi] - prefix[lo], hi - lo
+            approx = s / m
+            err = 2 * ((gT2 + u * np.abs(s)) / m +
+                       2 * u * np.abs(approx)) + 2.0 ** -1000
+            known = np.isfinite(err)
+            rows = order[i:i + _CHUNK_ENTRIES]
+            lower[rows] = np.where(known, approx - err, -np.inf)
+            upper[rows] = np.where(known, approx + err, np.inf)
     return lower, upper
 
 

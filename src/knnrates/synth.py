@@ -161,10 +161,9 @@ def sample_noise(spec: NoiseSpec, n: int, seed) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = _rng(seed)
     if spec.kind == "none":
         return np.zeros(n)
-    return spec.scale * rng.standard_normal(n)
+    return spec.scale * _rng(seed).standard_normal(n)
 
 
 # ---------------------------------------------------------------------------

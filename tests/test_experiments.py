@@ -742,11 +742,18 @@ class TestParallelTrials:
     def test_two_trials_peak_memory(self, force_cpus):
         # Two manifold trials at once, n = 8192 in R^10 with k = 408 and 512
         # probes.  Each D >= 2 batch chunk holds _CHUNK_ENTRIES = 2^16 tree
-        # entries; traced peaks with numpy 2.4 and scipy 1.17 on x86-64:
-        # 7.0 MiB, against 10.4 MiB with 2^17 entries and 11.5-14.7 MiB with
-        # 2^20 (one chunk of all 512 rows).  Six trials give the two workers'
-        # chunks many chances to overlap.
+        # entries, of which it keeps the indices and one limb gather; traced
+        # peaks with numpy 2.4 and scipy 1.17 on x86-64: 3.7-3.8 MiB, against
+        # 5.3 MiB with 2^17 entries, 8.4-8.6 MiB with 2^20 (one chunk of all
+        # 512 rows), and 4.4-5.3 MiB when a chunk also kept its tree
+        # distances and a copy of its member indices.  Six trials give the
+        # two workers' chunks many chances to overlap.  scipy's kd-tree and
+        # the pool's executor are imported before tracing starts, so the
+        # peak is the trials' own whatever tests ran before.
+        import concurrent.futures  # noqa: F401
         import tracemalloc
+
+        from scipy.spatial import cKDTree  # noqa: F401
 
         from knnrates import run_experiment
 
@@ -767,4 +774,4 @@ class TestParallelTrials:
         finally:
             tracemalloc.stop()
         assert len(records) == 6
-        assert peak < 9 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+        assert peak < 4.25 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"

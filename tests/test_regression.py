@@ -136,6 +136,65 @@ class TestBatchAgreement:
             members = brute_force_knn(X, Q[i], 64).member_indices
             assert bits(out[i]) == bits(exact_mean(y[members]))
 
+    def test_10d_chunk_peak_bounded(self, force_cpus):
+        # n = 8192 in R^10 at k = 407 with 512 queries, on one CPU: four
+        # chunks of 128 rows in a loop, each of 52,224 tree entries.  A
+        # chunk keeps the tree's indices and one limb gather, 16 bytes an
+        # entry; traced peak 1.0 MiB with numpy 2.4 and scipy 1.17 on
+        # x86-64, against 1.7 MiB when it also kept the tree's distances
+        # and a copy of its member indices.
+        import tracemalloc
+
+        force_cpus(1)
+        rng = np.random.default_rng(67)
+        n, k = 8192, 407
+        X = rng.random((n, 10))
+        reg = make_regressor(Dataset(PointSet(X), rng.standard_normal(n)), k)
+        Q = rng.random((512, 10))
+        tracemalloc.start()
+        try:
+            out = predict_batch(reg, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+        for q, got in zip(Q[::128], out[::128]):
+            assert bits(got) == bits(predict(reg, q))
+
+    @given(st.sampled_from([2, 3]), st.sampled_from([1, 3, 5, 8]),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(deadline=None)
+    def test_fast_and_mixed_chunks_equal_scalar_bitwise(self, dim, k, seed):
+        # Two chunks of eight rows.  The first holds queries among 40
+        # random points, which are all fast, so it takes its members as a
+        # view of the tree's indices; the second holds four more, shuffled
+        # with four interior sites of a far lattice whose every site is
+        # doubled, which tie at k = 1 (two copies) and at k = 3..8 (their
+        # 4 * dim neighbors at distance 1).
+        from unittest import mock
+
+        rng = np.random.default_rng(seed)
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * dim),
+                        axis=-1).reshape(-1, dim) + 10.0
+        X = np.vstack([rng.random((40, dim)), grid, grid])
+        sites = grid[(grid > 10.0).all(axis=1) & (grid < 13.0).all(axis=1)]
+        mixed = np.vstack([rng.random((4, dim)), sites[:4]])
+        Q = np.vstack([rng.random((8, dim)), mixed[rng.permutation(8)]])
+        reg = make_regressor(Dataset(PointSet(X),
+                                     rng.standard_normal(len(X))), k)
+        real, tied = neighbors._tied_rows, []
+
+        def spy(index, qs, *args):
+            tied.append(qs)
+            return real(index, qs, *args)
+
+        with mock.patch.object(neighbors, "_CHUNK_ENTRIES", 8 * (k + 1)), \
+                mock.patch.object(neighbors, "_tied_rows", spy):
+            assert_batch_equals_scalar(reg, Q)
+        assert len(tied) == 2
+        for qs in tied:
+            assert np.array_equal(qs, Q[(Q >= 10.0).all(axis=1)])
+
 
 def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import knnrates.synth as synth
 from knnrates import (ManifoldSpec, NoiseSpec, embed_manifold, embed_points,
                       make_field, manifold_field, manifold_probe_grid,
                       sample_noise, sample_points, stream_seed, to_intrinsic,
@@ -56,6 +57,15 @@ class TestDensities:
 class TestNoise:
     def test_none_is_zero(self):
         assert (sample_noise(NoiseSpec("none"), 100, 0) == 0.0).all()
+
+    def test_none_builds_no_generator(self, monkeypatch):
+        # Noise-free trials draw nothing, so they build no seeded Generator.
+        def no_rng(seed):
+            raise AssertionError("a Generator was built for 'none' noise")
+
+        monkeypatch.setattr(synth, "_rng", no_rng)
+        assert np.array_equal(sample_noise(NoiseSpec("none"), 100, 0),
+                              np.zeros(100))
 
     def test_gaussian_std_window(self):
         xs = sample_noise(NoiseSpec("gaussian", 0.1), 100_000, 123)
