@@ -18,8 +18,7 @@ from .neighbors import (NeighborSet, PointSet, SpatialIndex, brute_force_knn,
                         build_index, knn_query, knn_radii)
 from .regression import (Dataset, FieldMetadata, Regressor, ScalarField,
                          make_regressor, predict, predict_batch, sup_error)
-from .structures import (LevelSetEstimate, MaximaEstimate, PointCloud,
-                         count_distinct_knn_sets, estimate_level_set,
+from .structures import (count_distinct_knn_sets, estimate_level_set,
                          estimate_maxima, hausdorff_distance,
                          hausdorff_distance_bruteforce, true_level_set_grid)
 from .synth import (DensitySpec, ManifoldSample, ManifoldSpec, NoiseSpec,

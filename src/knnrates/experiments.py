@@ -23,9 +23,9 @@ from .bounds import (BoundParams, MissingParameterError, k_range_check,
                      knn_set_count_bound, level_set_epsilon, optimal_k)
 from .neighbors import _map_on_cpus, knn_radii
 from .regression import Dataset, ScalarField, make_regressor, sup_error
-from .structures import (PointCloud, count_distinct_knn_sets,
-                         estimate_level_set, estimate_maxima,
-                         hausdorff_distance, true_level_set_grid)
+from .structures import (count_distinct_knn_sets, estimate_level_set,
+                         estimate_maxima, hausdorff_distance,
+                         true_level_set_grid)
 from .synth import (DensitySpec, ManifoldSpec, NoiseSpec, embed_manifold,
                     halton_probes, make_field, manifold_field,
                     manifold_probe_grid, sample_noise, sample_points,
@@ -81,17 +81,21 @@ class KRule:
 
 def resolve_k(rule: KRule, n: int, rate_dim: int,
               smoothness: Optional[float]) -> int:
+    """The rung's k in [1, n]; a float k (inf included) is clipped first."""
     if rule.rule == "fixed":
         k = rule.fixed
     elif rule.rule == "power":
-        k = math.ceil(rule.factor * n ** rule.exponent)
+        try:
+            k = math.ceil(min(rule.factor * n ** rule.exponent, n))
+        except OverflowError:  # n ** exponent is past the float range
+            k = n
     else:
         if rule.mode != "maxima" and smoothness is None:
             raise ConfigError(
                 "k.mode: the optimal rule needs a field with a declared "
                 "smoothness or regularity exponent")
-        k = max(1, round(rule.factor * optimal_k(n, smoothness, rate_dim,
-                                                 rule.mode)))
+        k = max(1, round(min(rule.factor * optimal_k(n, smoothness, rate_dim,
+                                                     rule.mode), n)))
     return min(max(1, int(k)), n)
 
 
@@ -158,6 +162,11 @@ class ExperimentConfig:
         if size > SAMPLE_BUDGET:
             raise ConfigError(f"ladder.n: asks for {size} sample coordinates"
                               f" (n times D), over the budget of "
+                              f"{SAMPLE_BUDGET}")
+        if self.manifold is not None and self.manifold.rotate and \
+                self.manifold.ambient_dim ** 2 > SAMPLE_BUDGET:
+            raise ConfigError("manifold.ambient_dim: a rotation asks for D "
+                              "times D matrix entries, over the budget of "
                               f"{SAMPLE_BUDGET}")
         # probe_set lays probe_cells points along a manifold's arc length;
         # it and run_levelset lay probe_cells + 1 points per axis over a box
@@ -420,17 +429,15 @@ def run_levelset(cfg: ExperimentConfig) -> list:
     lo, hi = support_box(cfg.density)
     grid, _ = uniform_grid(lo, hi, cfg.probe_cells)
     truth = true_level_set_grid(fld, lam, grid)
-    D = cfg.density.dim
 
     def measure(data, ks):
         (k,) = ks
         reg = make_regressor(data, k)
-        eps = level_set_epsilon(data, D, k, cfg.delta).epsilon
-        est = estimate_level_set(reg, lam, eps)
-        if truth.size == 0 or est.member_indices.size == 0:
+        eps = level_set_epsilon(data, cfg.density.dim, k, cfg.delta).epsilon
+        members = estimate_level_set(reg, lam, eps)
+        if truth.size == 0 or members.size == 0:
             return [[("d_H", float("nan"))]]
-        return [[("d_H", hausdorff_distance(PointCloud(D, est.member_points),
-                                            truth))]]
+        return [[("d_H", hausdorff_distance(data.x.points[members], truth))]]
 
     return _run_trials(
         cfg, fld, "levelset",
@@ -450,8 +457,8 @@ def run_maxima(cfg: ExperimentConfig) -> list:
 
     def measure(data, ks):
         (k,) = ks
-        est = estimate_maxima(make_regressor(data, k))
-        return [[("maxima_dist", float(np.linalg.norm(est.location - x0)))]]
+        top = data.x.points[estimate_maxima(make_regressor(data, k))]
+        return [[("maxima_dist", float(np.linalg.norm(top - x0)))]]
 
     return _run_trials(
         cfg, fld, "maxima",
@@ -565,7 +572,7 @@ def load_config_file(path) -> "ExperimentConfig":
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     return build_config(parse_config_text(text))
 

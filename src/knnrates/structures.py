@@ -5,26 +5,19 @@ every k of a trial from one squared-distance block per probe chunk."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .neighbors import (PointSet, as_point_set, build_index, knn_radii,
-                        _CHUNK_ENTRIES, _sample_bounds, _sq_dists)
+from .neighbors import (as_point_set, build_index, knn_radii, _CHUNK_ENTRIES,
+                        _sample_bounds, _sq_dists)
 from .regression import Dataset, Regressor, ScalarField, predict_batch
 
 
-@dataclass(frozen=True)
-class LevelSetEstimate:
-    member_indices: np.ndarray
-    member_points: np.ndarray
-
-
 def estimate_level_set(reg: Regressor, level: float,
-                       epsilon: float) -> LevelSetEstimate:
-    """Sample points whose prediction clears level - epsilon (ties kept).
-    A row is in (out) when both bounds on its prediction (_sample_bounds)
-    clear (miss) the threshold; predict_batch settles the rest exactly."""
+                       epsilon: float) -> np.ndarray:
+    """Ascending indices of the sample points whose prediction clears
+    level - epsilon (ties kept).  A row is in (out) when both bounds on its
+    prediction (_sample_bounds) clear (miss) the threshold; predict_batch
+    settles the rest exactly."""
     epsilon = float(epsilon)
     threshold = float(level) - epsilon
     if not (epsilon >= 0.0 and threshold == threshold):
@@ -36,60 +29,39 @@ def estimate_level_set(reg: Regressor, level: float,
     unsure = np.flatnonzero(~inside & ~(upper < threshold))
     if unsure.size:
         inside[unsure] = predict_batch(reg, points[unsure]) >= threshold
-    members = np.flatnonzero(inside)
-    return LevelSetEstimate(member_indices=members,
-                            member_points=points[members])
+    return np.flatnonzero(inside)
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """Finite point cloud; may be empty (then unusable for Hausdorff
-    evaluation)."""
-
-    dim: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim == 2 and pts.shape[1] != self.dim:
-            raise ValueError(f"points have {pts.shape[1]} columns, not {self.dim}")
-        object.__setattr__(self, "points", pts.reshape(-1, self.dim))
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-
-def true_level_set_grid(fld: ScalarField, level: float, grid) -> PointCloud:
-    """Grid discretization of the true super-level region.  An empty result
-    (level above the grid maximum) is returned as an empty cloud, which the
-    Hausdorff metric refuses to evaluate."""
+def true_level_set_grid(fld: ScalarField, level: float, grid) -> np.ndarray:
+    """The true super-level region on a grid: the (m, D) grid points where
+    the field is at least the level, empty (which the Hausdorff metric
+    refuses) when the level is above the grid maximum."""
     ps = as_point_set(grid)
-    vals = fld.evaluate(ps.points)
-    keep = vals >= float(level)
-    return PointCloud(dim=ps.dim, points=ps.points[keep])
+    return ps.points[fld.evaluate(ps.points) >= float(level)]
 
 
-def _check_clouds(a: PointCloud, b: PointCloud):
-    if a.size == 0 or b.size == 0:
+def _check_clouds(a, b) -> tuple:
+    """Both clouds, (m,) or (m, D) arrays or PointSets, as PointSets."""
+    if any(np.size(getattr(c, "points", c)) == 0 for c in (a, b)):
         raise ValueError("Hausdorff distance is undefined for empty clouds")
+    a, b = as_point_set(a), as_point_set(b)
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return a, b
 
 
-def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
-    """Exact Hausdorff distance between finite clouds, index-accelerated;
-    equals the double-loop oracle bit for bit."""
-    _check_clouds(a, b)
-    ia, ib = build_index(PointSet(a.points)), build_index(PointSet(b.points))
-    d_ab = knn_radii(ib, a.points, 1).max()
-    d_ba = knn_radii(ia, b.points, 1).max()
+def hausdorff_distance(a, b) -> float:
+    """Exact Hausdorff distance between two finite point clouds,
+    index-accelerated; equals the double-loop oracle bit for bit."""
+    a, b = _check_clouds(a, b)
+    d_ab = knn_radii(build_index(b), a.points, 1).max()
+    d_ba = knn_radii(build_index(a), b.points, 1).max()
     return float(max(d_ab, d_ba))
 
 
-def hausdorff_distance_bruteforce(a: PointCloud, b: PointCloud) -> float:
+def hausdorff_distance_bruteforce(a, b) -> float:
     """Double-loop oracle for hausdorff_distance."""
-    _check_clouds(a, b)
+    a, b = _check_clouds(a, b)
 
     def directed(src, dst):
         best = 0.0
@@ -100,22 +72,14 @@ def hausdorff_distance_bruteforce(a: PointCloud, b: PointCloud) -> float:
     return max(directed(a.points, b.points), directed(b.points, a.points))
 
 
-@dataclass(frozen=True)
-class MaximaEstimate:
-    argmax_index: int
-    location: np.ndarray
-
-
-def estimate_maxima(reg: Regressor) -> MaximaEstimate:
-    """Sample point with the highest prediction; ties break to the smallest
-    sample index.  predict_batch settles, in index order, the rows whose
-    upper bound (_sample_bounds) reaches the largest lower bound, as every
-    maximal row's does, so their first maximum is np.argmax's of all."""
-    points = reg.data.x.points
+def estimate_maxima(reg: Regressor) -> int:
+    """Index of the sample point with the highest prediction; ties break to
+    the smallest index.  predict_batch settles, in index order, the rows
+    whose upper bound (_sample_bounds) reaches the largest lower bound, as
+    every maximal row's does, so their first maximum is np.argmax's of all."""
     lower, upper = _sample_bounds(reg.index, reg.data.y, reg.k)
     cand = np.flatnonzero(upper >= lower.max())
-    i = int(cand[np.argmax(predict_batch(reg, points[cand]))])
-    return MaximaEstimate(argmax_index=i, location=points[i])
+    return int(cand[np.argmax(predict_batch(reg, reg.data.x.points[cand]))])
 
 
 def count_distinct_knn_sets(data: Dataset, ks, probes) -> list:

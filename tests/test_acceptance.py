@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from knnrates import (Dataset, PointCloud, PointSet, brute_force_knn,
+from knnrates import (Dataset, PointSet, brute_force_knn,
                       build_index, estimate_level_set, estimate_maxima,
                       fit_rate, hausdorff_distance, knn_query, load_config_file,
                       make_regressor, predict, records_to_csv, run_coverage,
@@ -166,9 +166,7 @@ def test_ac8_set_count_bound():
 
 
 def _random_cloud(rng, max_pts=12, dim=2):
-    return PointCloud(dim=dim,
-                      points=rng.random((int(rng.integers(1, max_pts + 1)),
-                                         dim)))
+    return rng.random((int(rng.integers(1, max_pts + 1)), dim))
 
 
 def _dyadic_dataset(rng, n, dim):
@@ -187,12 +185,10 @@ def test_ac9_property_suites():
         assert ab == ba
         bc, ac = hausdorff_distance(b, c), hausdorff_distance(a, c)
         assert ac <= ab + bc + 4.0 * np.spacing(max(ab, bc, ac))
-    ident = PointCloud(dim=2, points=rng.random((6, 2)))
-    shuffled = PointCloud(dim=2, points=np.vstack(
-        [ident.points[::-1], ident.points[2]]))  # same point set, dup added
+    ident = rng.random((6, 2))
+    shuffled = np.vstack([ident[::-1], ident[2]])  # same point set, dup added
     assert hausdorff_distance(ident, shuffled) == 0.0
-    assert hausdorff_distance(
-        ident, PointCloud(dim=2, points=ident.points + 0.5)) > 0.0
+    assert hausdorff_distance(ident, ident + 0.5) > 0.0
 
     # Level-set monotonicity in level and margin on 200 random regressors.
     for _ in range(200):
@@ -201,10 +197,10 @@ def test_ac9_property_suites():
         reg = make_regressor(ds, int(rng.integers(1, n + 1)))
         lam1, lam2 = sorted(rng.standard_normal(2))
         eps1, eps2 = sorted(rng.random(2))
-        assert set(estimate_level_set(reg, lam2, eps1).member_indices) <= \
-            set(estimate_level_set(reg, lam1, eps1).member_indices)
-        assert set(estimate_level_set(reg, lam1, eps1).member_indices) <= \
-            set(estimate_level_set(reg, lam1, eps2).member_indices)
+        assert set(estimate_level_set(reg, lam2, eps1)) <= \
+            set(estimate_level_set(reg, lam1, eps1))
+        assert set(estimate_level_set(reg, lam1, eps1)) <= \
+            set(estimate_level_set(reg, lam1, eps2))
 
     # Argmax invariance under y -> a*y + b (a > 0) on 200 dyadic datasets,
     # and exact affine equivariance of the prediction itself.  Dyadic
@@ -217,8 +213,7 @@ def test_ac9_property_suites():
         b = float(rng.integers(-2 ** 10, 2 ** 10)) / 64.0
         reg = make_regressor(ds, k)
         mapped = make_regressor(Dataset(ds.x, a * ds.y + b), k)
-        assert estimate_maxima(mapped).argmax_index == \
-            estimate_maxima(reg).argmax_index
+        assert estimate_maxima(mapped) == estimate_maxima(reg)
         q = rng.random(2)
         assert knn_query(reg.index, q, k).count == k  # tie-free instance
         assert predict(mapped, q) == a * predict(reg, q) + b

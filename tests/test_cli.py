@@ -117,6 +117,32 @@ class TestExitCodes:
         assert cli_main(["regress", "--config", str(bad), "--quiet"]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["regress", "setcount"])
+    def test_non_utf8_config_exit_1(self, tmp_path, capsys, command):
+        # Bytes that are not UTF-8 are bad input, not a runtime failure.
+        bad = tmp_path / "latin-1.cfg"
+        bad.write_bytes(CONFIG.replace("# tiny", "# caf\xe9 tiny")
+                        .encode("latin-1"))
+        assert cli_main([command, "--config", str(bad), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "runtime failure" not in err
+
+    # k rules whose float k is past the float range; each clips to k = n.
+    @pytest.mark.parametrize("rule", [
+        "k.rule = power\nk.exponent = 200",
+        "k.rule = power\nk.exponent = 0.6667\nk.factor = 1e308",
+        "k.rule = optimal\nk.factor = 1e308"],
+        ids=["power-exponent", "power-factor", "optimal-factor"])
+    def test_k_past_float_range_runs_at_n(self, tmp_path, rule):
+        cfg = tmp_path / "huge-k.cfg"
+        cfg.write_text(CONFIG.replace("k.rule = power\nk.exponent = 0.6667",
+                                      rule))
+        out = tmp_path / "huge-k.csv"
+        assert cli_main(["regress", "--config", str(cfg), "--out", str(out),
+                         "--quiet"]) == 0
+        records = read_records(out)
+        assert records and all(r.k == r.n for r in records)
+
     def test_runtime_failure_exit_2(self, config_path, monkeypatch, capsys):
         import knnrates.cli as climod
 

@@ -215,6 +215,18 @@ class TestKRule:
         rule = KRule(rule="optimal", mode="maxima")
         assert resolve_k(rule, 10 ** 5, 1, None) == 10 ** 4
 
+    @pytest.mark.parametrize("rule, smoothness", [
+        (KRule(rule="power", exponent=200.0), None),
+        (KRule(rule="power", exponent=0.5, factor=1e308), None),
+        (KRule(rule="optimal", factor=1e308), 1.0),
+        (KRule(rule="optimal", mode="maxima", factor=1e308), None)],
+        ids=["power-exponent", "power-factor", "optimal-factor",
+             "optimal-maxima-factor"])
+    def test_k_past_float_range_clips_to_n(self, rule, smoothness):
+        # 128 ** 200 overflows a float, and 1e308 times a k above 1.8 is
+        # inf; either k is past n, so it is n.
+        assert resolve_k(rule, 128, 1, smoothness) == 128
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             KRule(rule="sometimes")
@@ -515,6 +527,32 @@ class TestProbes:
         assert build_config(pairs).n_ladder[-1] * dim == SAMPLE_BUDGET
         pairs["ladder.n"] = f"32, {edge + 1}"
         with pytest.raises(ConfigError, match=r"^ladder\.n: .* budget"):
+            build_config(pairs)
+
+    def test_rotation_matrix_counts_against_sample_budget(self):
+        # A rotated circle draws and factors a D x D matrix.  In R^16384 at
+        # n = 1,024 the sample is exactly the budget's n * D coordinates,
+        # but the matrix would take 2 GiB: a config error that names
+        # manifold.ambient_dim.  Only the config is built: nothing is drawn.
+        from knnrates.experiments import SAMPLE_BUDGET
+
+        pairs = base_pairs(**{"manifold.kind": "circle",
+                              "manifold.ambient_dim": "16384",
+                              "manifold.radius": "0.1592"})
+        for name in [n for n in pairs if n.startswith(("density.", "field."))]:
+            del pairs[name]
+        pairs["ladder.n"] = "32, 1024"
+        assert not build_config(pairs).manifold.rotate
+        pairs["manifold.rotate"] = "true"
+        with pytest.raises(ConfigError,
+                           match=r"^manifold\.ambient_dim: .* budget"):
+            build_config(pairs)
+        # 4096 * 4096 entries is exactly the budget; one dimension more is
+        # over it.
+        pairs["manifold.ambient_dim"] = "4096"
+        assert build_config(pairs).manifold.ambient_dim ** 2 == SAMPLE_BUDGET
+        pairs["manifold.ambient_dim"] = "4097"
+        with pytest.raises(ConfigError, match=r"^manifold\.ambient_dim: "):
             build_config(pairs)
 
     def test_manifold_probe(self):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import knnrates.neighbors as neighbors
-from knnrates import (Dataset, PointCloud, PointSet, Regressor,
+from knnrates import (Dataset, PointSet, Regressor,
                       brute_force_knn, estimate_level_set, estimate_maxima,
                       hausdorff_distance,
                       hausdorff_distance_bruteforce, knn_query, knn_radii,
@@ -262,8 +262,7 @@ class TestBatchAgreement1D:
                 assert bits(ns.radius) == bits(oracle.radius)
                 assert np.array_equal(ns.member_indices,
                                       oracle.member_indices)
-        a, b = PointCloud(1, X), PointCloud(1, Q)
-        assert hausdorff_distance(a, b) == hausdorff_distance_bruteforce(a, b)
+        assert hausdorff_distance(X, Q) == hausdorff_distance_bruteforce(X, Q)
 
     def test_chunks_equal_scalar_bitwise(self, monkeypatch):
         # Chunks of 7 rows: the 200 queries span 29 chunks, the last one
@@ -983,10 +982,9 @@ class TestTieOrder:
                 assert np.array_equal(got.member_indices, ns.member_indices)
             preds = predict_batch(reg, X)
             level = preds[rng.integers(60)]
-            assert np.array_equal(estimate_level_set(reg, level, 0.0)
-                                  .member_indices,
+            assert np.array_equal(estimate_level_set(reg, level, 0.0),
                                   np.flatnonzero(preds >= level))
-            assert estimate_maxima(reg).argmax_index == np.argmax(preds)
+            assert estimate_maxima(reg) == np.argmax(preds)
         # The shuffle moved some tied points.
         base = neighbors.build_index(PointSet(X))._order
         assert any(not np.array_equal(o, base) for o in shuffled)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import knnrates.neighbors as neighbors
 import knnrates.structures as structures
-from knnrates import (Dataset, PointCloud, PointSet, brute_force_knn,
+from knnrates import (Dataset, PointSet, brute_force_knn,
                       count_distinct_knn_sets, estimate_level_set,
                       estimate_maxima, hausdorff_distance,
                       hausdorff_distance_bruteforce, knn_set_count_bound,
@@ -21,36 +21,26 @@ def data1d(xs, ys):
                    np.asarray(ys, dtype=float))
 
 
-def cloud(pts, dim=None):
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    return PointCloud(dim=pts.shape[1] if dim is None else dim, points=pts)
-
-
 class TestLevelSet:
     def test_huge_epsilon_takes_all(self):
         reg = make_regressor(data1d([0.0, 1.0, 2.0], [0.0, 5.0, -3.0]), 1)
-        est = estimate_level_set(reg, 100.0, 1e9)
-        assert list(est.member_indices) == [0, 1, 2]
+        assert list(estimate_level_set(reg, 100.0, 1e9)) == [0, 1, 2]
 
     def test_zero_noise_k1_hand_case(self):
         # f(x) = x at samples {0.1, 0.5, 0.9}: threshold 0.5 keeps the top two
         xs = [0.1, 0.5, 0.9]
         reg = make_regressor(data1d(xs, xs), 1)
-        est = estimate_level_set(reg, 0.5, 0.0)
-        assert list(est.member_indices) == [1, 2]
-        assert np.allclose(est.member_points[:, 0], [0.5, 0.9])
+        members = estimate_level_set(reg, 0.5, 0.0)
+        assert list(members) == [1, 2]
+        assert np.allclose(reg.data.x.points[members, 0], [0.5, 0.9])
 
     def test_very_low_level_takes_all(self):
         reg = make_regressor(data1d([0.0, 1.0], [3.0, -7.0]), 1)
-        est = estimate_level_set(reg, -1e12, 0.0)
-        assert est.member_indices.size == 2
+        assert estimate_level_set(reg, -1e12, 0.0).size == 2
 
     def test_threshold_tie_included(self):
         reg = make_regressor(data1d([0.0, 1.0], [1.0, 0.0]), 1)
-        est = estimate_level_set(reg, 1.0, 0.0)
-        assert list(est.member_indices) == [0]
+        assert list(estimate_level_set(reg, 1.0, 0.0)) == [0]
 
     def test_monotone_in_level_and_epsilon(self):
         rng = np.random.default_rng(0)
@@ -60,12 +50,20 @@ class TestLevelSet:
             reg = make_regressor(ds, int(rng.integers(1, n + 1)))
             lam1, lam2 = sorted(rng.standard_normal(2))
             eps1, eps2 = sorted(rng.random(2))
-            hi = set(estimate_level_set(reg, lam2, eps1).member_indices)
-            lo = set(estimate_level_set(reg, lam1, eps1).member_indices)
+            hi = set(estimate_level_set(reg, lam2, eps1))
+            lo = set(estimate_level_set(reg, lam1, eps1))
             assert hi <= lo
-            small = set(estimate_level_set(reg, lam1, eps1).member_indices)
-            big = set(estimate_level_set(reg, lam1, eps2).member_indices)
+            small = set(estimate_level_set(reg, lam1, eps1))
+            big = set(estimate_level_set(reg, lam1, eps2))
             assert small <= big
+
+    def test_returns_ascending_integer_indices(self):
+        rng = np.random.default_rng(10)
+        ds = Dataset(PointSet(rng.random((60, 2))), rng.standard_normal(60))
+        members = estimate_level_set(make_regressor(ds, 4), 0.0, 0.1)
+        assert members.ndim == 1 and members.dtype.kind == "i"
+        assert 0 < members.size < 60
+        assert (np.diff(members) > 0).all()
 
     def test_negative_epsilon_rejected(self):
         reg = make_regressor(data1d([0.0, 1.0], [0.0, 1.0]), 1)
@@ -133,10 +131,9 @@ class TestFilteredEstimators:
         reg, preds, level = data
         lower, upper = structures._sample_bounds(reg.index, reg.data.y, reg.k)
         assert (lower <= preds).all() and (preds <= upper).all()
-        assert np.array_equal(estimate_level_set(reg, level, 0.0)
-                              .member_indices,
+        assert np.array_equal(estimate_level_set(reg, level, 0.0),
                               np.flatnonzero(preds >= level))
-        assert estimate_maxima(reg).argmax_index == np.argmax(preds)
+        assert estimate_maxima(reg) == np.argmax(preds)
 
     def test_smooth_data_settles_few_rows_exactly(self, monkeypatch):
         # On a smooth 1-D sample the bounds decide almost every row; the
@@ -153,10 +150,9 @@ class TestFilteredEstimators:
 
         monkeypatch.setattr(structures, "predict_batch", counting)
         preds = predict_batch(reg, reg.data.x.points)
-        est = estimate_level_set(reg, 0.5, 0.0)
-        assert np.array_equal(est.member_indices,
+        assert np.array_equal(estimate_level_set(reg, 0.5, 0.0),
                               np.flatnonzero(preds >= 0.5))
-        assert estimate_maxima(reg).argmax_index == np.argmax(preds)
+        assert estimate_maxima(reg) == np.argmax(preds)
         assert 1 <= rows[-1] and sum(rows) < 40
 
     def test_bound_pass_in_chunks(self, monkeypatch):
@@ -187,89 +183,102 @@ class TestFilteredEstimators:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-class TestPointCloud:
-    @pytest.mark.parametrize("dim, shape", [(2, (3, 4)), (1, (3, 2))])
-    def test_columns_must_match_dim(self, dim, shape):
-        with pytest.raises(ValueError):
-            PointCloud(dim=dim, points=np.zeros(shape))
-
-    def test_flat_points_take_dim_columns(self):
-        assert PointCloud(dim=2, points=np.arange(6.0)).points.shape == (3, 2)
-
-
 class TestTrueLevelSetGrid:
     def test_hand_case(self):
         fld = ScalarField(dim=1, fn=lambda X: X[:, 0])
         grid, _ = uniform_grid((0.0,), (1.0,), 10)
         truth = true_level_set_grid(fld, 0.5, grid)
-        assert truth.size == 6  # 0.5 .. 1.0 inclusive
-        assert np.array_equal(truth.points, grid.points[5:])
+        assert truth.shape == (6, 1)  # 0.5 .. 1.0 inclusive
+        assert np.array_equal(truth, grid.points[5:])
 
     def test_level_below_min_takes_whole_grid(self):
         fld = ScalarField(dim=1, fn=lambda X: X[:, 0])
         grid, _ = uniform_grid((0.0,), (1.0,), 16)
-        assert true_level_set_grid(fld, -5.0, grid).size == 17
+        assert true_level_set_grid(fld, -5.0, grid).shape == (17, 1)
 
     def test_level_above_max_gives_empty_cloud(self):
         fld = ScalarField(dim=1, fn=lambda X: X[:, 0])
         grid, _ = uniform_grid((0.0,), (1.0,), 16)
         truth = true_level_set_grid(fld, 2.0, grid)
-        assert truth.size == 0
+        assert truth.shape == (0, 1)
         with pytest.raises(ValueError):
-            hausdorff_distance(truth, cloud([0.0]))
+            hausdorff_distance(truth, [0.0])
 
 
 class TestHausdorff:
     def test_identical_clouds(self):
-        a = cloud([0.0, 0.4, 1.0])
+        a = np.array([0.0, 0.4, 1.0])
         assert hausdorff_distance(a, a) == 0.0
 
     def test_singletons(self):
-        assert hausdorff_distance(cloud([0.0]), cloud([3.0])) == 3.0
+        assert hausdorff_distance([0.0], [3.0]) == 3.0
 
     def test_hand_case_asymmetric_parts(self):
         # directed a->b: max(0, 1) = 1; directed b->a: max(0, 3) = 3
-        assert hausdorff_distance(cloud([0.0, 1.0]), cloud([0.0, 4.0])) == 3.0
+        assert hausdorff_distance([0.0, 1.0], [0.0, 4.0]) == 3.0
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            a = cloud(rng.random((int(rng.integers(1, 20)), 2)))
-            b = cloud(rng.random((int(rng.integers(1, 20)), 2)))
+            a = rng.random((int(rng.integers(1, 20)), 2))
+            b = rng.random((int(rng.integers(1, 20)), 2))
             assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
 
     def test_indexed_equals_bruteforce_exactly(self):
         rng = np.random.default_rng(2)
         for _ in range(60):
-            a = cloud(rng.random((int(rng.integers(1, 30)), 3)))
-            b = cloud(rng.random((int(rng.integers(1, 30)), 3)))
+            a = rng.random((int(rng.integers(1, 30)), 3))
+            b = rng.random((int(rng.integers(1, 30)), 3))
             assert hausdorff_distance(a, b) == \
                 hausdorff_distance_bruteforce(a, b)
 
+    @pytest.mark.parametrize("metric", [hausdorff_distance,
+                                        hausdorff_distance_bruteforce])
+    def test_array_and_point_set_forms_agree(self, metric):
+        # An (m,) array is m points on the line, as an (m, 1) array is, and
+        # a PointSet measures as its points do.
+        a, b = np.array([0.0, 0.25, 2.0]), np.array([0.5, 1.0])
+        for fa in (a, a[:, None], PointSet(a)):
+            for fb in (b, b[:, None], PointSet(b[:, None])):
+                assert metric(fa, fb) == 1.0
+        rng = np.random.default_rng(8)
+        a, b = rng.random((7, 2)), rng.random((4, 2))
+        assert metric(PointSet(a), PointSet(b)) == metric(a, b) == \
+            metric(PointSet(a), b)
+
     def test_zero_iff_equal_point_sets(self):
-        a = cloud([0.0, 1.0])
-        b = cloud([0.0, 1.0, 2.0])
-        assert hausdorff_distance(a, b) > 0.0
+        assert hausdorff_distance([0.0, 1.0], [0.0, 1.0, 2.0]) > 0.0
 
     def test_triangle_inequality_4ulp(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            a = cloud(rng.random((int(rng.integers(1, 12)), 2)))
-            b = cloud(rng.random((int(rng.integers(1, 12)), 2)))
-            c = cloud(rng.random((int(rng.integers(1, 12)), 2)))
+            a = rng.random((int(rng.integers(1, 12)), 2))
+            b = rng.random((int(rng.integers(1, 12)), 2))
+            c = rng.random((int(rng.integers(1, 12)), 2))
             ab = hausdorff_distance(a, b)
             bc = hausdorff_distance(b, c)
             ac = hausdorff_distance(a, c)
             assert ac <= ab + bc + 4 * np.spacing(max(ab, bc, ac))
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            hausdorff_distance(cloud([0.0]), cloud([[0.0, 1.0]]))
+        cases = [([0.0], [[0.0, 1.0]]),
+                 (np.zeros((3, 2)), np.zeros((2, 3))),
+                 (PointSet(np.zeros((3, 2))), np.zeros((1, 1)))]
+        for metric in (hausdorff_distance, hausdorff_distance_bruteforce):
+            for a, b in cases:
+                for x, y in ((a, b), (b, a)):
+                    with pytest.raises(ValueError, match="dimension mismatch"):
+                        metric(x, y)
 
     def test_empty_rejected(self):
-        empty = PointCloud(dim=1, points=np.empty((0, 1)))
-        with pytest.raises(ValueError):
-            hausdorff_distance(empty, cloud([0.0]))
+        # An empty set, of any dimension, is rejected on either side.
+        for metric in (hausdorff_distance, hausdorff_distance_bruteforce):
+            for empty, one in ((np.empty((0, 1)), [0.0]),
+                               (np.empty((0, 3)), np.zeros((1, 3))),
+                               (np.empty(0), [0.0])):
+                for x, y in ((empty, one), (one, empty)):
+                    with pytest.raises(ValueError, match="empty"):
+                        metric(x, y)
 
 
 class TestMaxima:
@@ -278,8 +287,7 @@ class TestMaxima:
         rng = np.random.default_rng(4)
         xs = rng.random(100)
         reg = make_regressor(data1d(xs, fld.evaluate(xs.reshape(-1, 1))), 1)
-        est = estimate_maxima(reg)
-        assert est.argmax_index == int(np.argmax(fld.evaluate(
+        assert estimate_maxima(reg) == int(np.argmax(fld.evaluate(
             xs.reshape(-1, 1))))
 
     def test_shift_moves_value_not_argmax(self):
@@ -287,15 +295,19 @@ class TestMaxima:
         ds = Dataset(PointSet(rng.random((50, 1))), rng.standard_normal(50))
         reg = make_regressor(ds, 5)
         moved = make_regressor(Dataset(ds.x, ds.y + 2.0), 5)
-        base, shifted = estimate_maxima(reg), estimate_maxima(moved)
-        assert shifted.argmax_index == base.argmax_index
-        i = base.argmax_index
+        i = estimate_maxima(reg)
+        assert estimate_maxima(moved) == i
         assert predict_batch(moved, ds.x.points)[i] == pytest.approx(
             predict_batch(reg, ds.x.points)[i] + 2.0, rel=1e-12)
 
+    def test_returns_python_int(self):
+        reg = make_regressor(data1d([0.0, 1.0, 2.0], [1.0, 3.0, 2.0]), 1)
+        i = estimate_maxima(reg)
+        assert type(i) is int and i == 1
+
     def test_first_index_tie_break(self):
         reg = make_regressor(data1d([0.0, 10.0, 20.0], [7.0, 7.0, 7.0]), 1)
-        assert estimate_maxima(reg).argmax_index == 0
+        assert estimate_maxima(reg) == 0
 
     def test_affine_invariance_dyadic(self):
         rng = np.random.default_rng(6)
@@ -309,7 +321,7 @@ class TestMaxima:
             base = estimate_maxima(make_regressor(Dataset(x, y), k))
             mapped = estimate_maxima(
                 make_regressor(Dataset(x, a * y + b), k))
-            assert mapped.argmax_index == base.argmax_index
+            assert mapped == base
 
 
 def oracle_counts(points, ks, probes):
@@ -452,6 +464,6 @@ class TestSetCount:
 class TestCloudFromLevelSet:
     def test_roundtrip(self):
         reg = make_regressor(data1d([0.0, 1.0, 2.0], [0.0, 5.0, 10.0]), 1)
-        est = estimate_level_set(reg, 5.0, 0.0)
-        assert np.array_equal(est.member_indices, [1, 2])
-        assert np.array_equal(est.member_points, [[1.0], [2.0]])
+        members = estimate_level_set(reg, 5.0, 0.0)
+        assert np.array_equal(members, [1, 2])
+        assert np.array_equal(reg.data.x.points[members], [[1.0], [2.0]])
