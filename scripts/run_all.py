@@ -20,8 +20,7 @@ CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
 STUDIES = [
     ("holder_rate.cfg", "regress", "sup_error"),
     ("manifold_rate.cfg", "manifold", "sup_error"),
-    ("variance_scaling_k64.cfg", "regress", None),
-    ("variance_scaling_k128.cfg", "regress", None),
+    ("variance_scaling.cfg", "regress", None),
     ("coverage.cfg", "coverage", None),
     ("levelset_rate.cfg", "levelset", "d_H"),
     ("maxima_rate.cfg", "maxima", "maxima_dist"),

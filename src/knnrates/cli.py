@@ -137,8 +137,8 @@ def cli_main(argv=None) -> int:
         else:
             write_records(args.out, records)
         if not args.quiet:
-            # A trial may write several records (coverage writes two, a
-            # setcount trial one per k), each carrying the trial's time:
+            # A trial may write several records (one per k of `k.values`,
+            # two per k for coverage), each carrying the trial's time:
             # count each trial once.
             trial_ms = {(r.n, r.seed): r.ms for r in records}
             total_ms = sum(trial_ms.values())

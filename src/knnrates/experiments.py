@@ -54,20 +54,17 @@ CSV_HEADER = "experiment,n,k,seed,quantity,value,bound,valid_k,ms"
 
 @dataclass(frozen=True)
 class KRule:
-    """How k is chosen per rung: a fixed value, the rate-optimal power, or
-    an explicit power law ceil(factor * n^exponent)."""
+    """How k is chosen per rung when `k.values` does not fix it: the
+    rate-optimal power, or an explicit power law ceil(factor * n^exponent)."""
 
     rule: str = "optimal"
-    fixed: Optional[int] = None
     mode: str = "regression"
     factor: float = 1.0
     exponent: Optional[float] = None
 
     def __post_init__(self):
-        if self.rule not in ("fixed", "optimal", "power"):
+        if self.rule not in ("optimal", "power"):
             raise ConfigError(f"k.rule: unknown rule {self.rule!r}")
-        if self.rule == "fixed" and (self.fixed is None or self.fixed < 1):
-            raise ConfigError("k.fixed: a positive integer is required")
         if self.rule == "power" and not (self.exponent is not None
                                          and 0.0 < self.exponent < math.inf):
             raise ConfigError("k.exponent: a positive finite exponent is "
@@ -82,9 +79,7 @@ class KRule:
 def resolve_k(rule: KRule, n: int, rate_dim: int,
               smoothness: Optional[float]) -> int:
     """The rung's k in [1, n]; a float k (inf included) is clipped first."""
-    if rule.rule == "fixed":
-        k = rule.fixed
-    elif rule.rule == "power":
+    if rule.rule == "power":
         try:
             k = math.ceil(min(rule.factor * n ** rule.exponent, n))
         except OverflowError:  # n ** exponent is past the float range
@@ -135,9 +130,6 @@ class ExperimentConfig:
             raise ConfigError("k.values: entries must be distinct")
         if self.kind == "setcount" and not self.k_values:
             raise ConfigError("k.values is required for setcount experiments")
-        if self.kind != "setcount" and self.k_values:
-            raise ConfigError(f"k.values: {self.kind} experiments take their "
-                              "one k per rung from k.rule")
         if self.kind == "levelset" and self.level_lambda is None:
             raise ConfigError("level.lambda is required for levelset "
                               "experiments")
@@ -348,27 +340,28 @@ def _run_trials(cfg: ExperimentConfig, fld: ScalarField,
             for record in records]
 
 
+def _each_k(measure):
+    """The `measure(data, ks)` of `_run_trials` from a `measure(data, k)`
+    that takes the trial's ks one at a time."""
+    return lambda data, ks: [measure(data, k) for k in ks]
+
+
 # ---------------------------------------------------------------------------
 # runners
 
 
 def run_regression_rate(cfg: ExperimentConfig) -> list:
-    """Per (n, seed): sample, observe, regress, and record the probe-grid
-    sup error next to the closed-form bound."""
+    """Per (n, seed): sample, observe, regress with each k, and record the
+    probe-grid sup error next to the closed-form bound."""
     fld = experiment_field(cfg)
     probes, _ = probe_set(cfg)
     manifold = cfg.manifold is not None
-
-    def measure(data, ks):
-        (k,) = ks
-        return [[("sup_error", sup_error(make_regressor(data, k), fld,
-                                         probes))]]
-
     return _run_trials(
         cfg, fld, "manifold" if manifold else "full",
         lambda params, n, k: {"sup_error": _try(
             bnd.holder_bound, params, n, k, manifold=manifold)},
-        measure)
+        _each_k(lambda data, k: [("sup_error", sup_error(
+            make_regressor(data, k), fld, probes))]))
 
 
 @dataclass(frozen=True)
@@ -399,19 +392,19 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
                 "for the error and radius bounds")
         return {"sup_error": err_bound, "radius_max": rad_bound}
 
-    def measure(data, ks):
-        (k,) = ks
+    def measure(data, k):
         reg = make_regressor(data, k)
-        return [[("sup_error", sup_error(reg, fld, probes)),
-                 ("radius_max",
-                  float(knn_radii(reg.index, probes.points, k).max()))]]
+        return [("sup_error", sup_error(reg, fld, probes)),
+                ("radius_max",
+                 float(knn_radii(reg.index, probes.points, k).max()))]
 
     records = _run_trials(cfg, fld, "manifold" if manifold else "full",
-                          bounds, measure)
+                          bounds, _each_k(measure))
 
     def tally(quantity):
         rows = [r for r in records if r.quantity == quantity]
-        misses = tuple((r.n, r.seed) for r in rows if not r.value <= r.bound)
+        misses = tuple((r.n, r.k, r.seed) for r in rows
+                       if not r.value <= r.bound)
         return (len(rows) - len(misses)) / len(rows), misses
 
     coverage, sup_violations = tally("sup_error")
@@ -430,20 +423,19 @@ def run_levelset(cfg: ExperimentConfig) -> list:
     grid, _ = uniform_grid(lo, hi, cfg.probe_cells)
     truth = true_level_set_grid(fld, lam, grid)
 
-    def measure(data, ks):
-        (k,) = ks
+    def measure(data, k):
         reg = make_regressor(data, k)
         eps = level_set_epsilon(data, cfg.density.dim, k, cfg.delta).epsilon
         members = estimate_level_set(reg, lam, eps)
         if truth.size == 0 or members.size == 0:
-            return [[("d_H", float("nan"))]]
-        return [[("d_H", hausdorff_distance(data.x.points[members], truth))]]
+            return [("d_H", float("nan"))]
+        return [("d_H", hausdorff_distance(data.x.points[members], truth))]
 
     return _run_trials(
         cfg, fld, "levelset",
         lambda params, n, k: {"d_H": _try(bnd.level_set_dh_bound,
                                           params, n, k)},
-        measure)
+        _each_k(measure))
 
 
 def run_maxima(cfg: ExperimentConfig) -> list:
@@ -455,24 +447,22 @@ def run_maxima(cfg: ExperimentConfig) -> list:
                           "a declared maximizer")
     x0 = np.asarray(fld.metadata.argmax)
 
-    def measure(data, ks):
-        (k,) = ks
+    def measure(data, k):
         top = data.x.points[estimate_maxima(make_regressor(data, k))]
-        return [[("maxima_dist", float(np.linalg.norm(top - x0)))]]
+        return [("maxima_dist", float(np.linalg.norm(top - x0)))]
 
     return _run_trials(
         cfg, fld, "maxima",
         lambda params, n, k: {"maxima_dist": _try(bnd.maxima_distance_bound,
                                                   params, n, k)},
-        measure)
+        _each_k(measure))
 
 
 def run_setcount(cfg: ExperimentConfig) -> list:
     """Count distinct neighbor sets over a probe grid and record them next
     to the combinatorial cap.  A trial counts every k of `k.values` up to
-    its n from one distance block (so each of its records carries the
-    trial's time); a rung with no such k has no trials.  The counter reads
-    the sample points alone, so the observations are a zero field's."""
+    its n from one distance block.  The counter reads the sample points
+    alone, so the observations are a zero field's."""
     probes, _ = probe_set(cfg)
     D = cfg.density.dim
     return _run_trials(
@@ -519,30 +509,34 @@ def write_records(path, records) -> None:
 
 
 def read_records(path) -> list:
-    """Records from a CSV that `write_records` wrote.  A malformed file
-    raises ValueError naming the path and the line."""
+    """Records from a CSV that `write_records` wrote.  A file that is not
+    UTF-8, or is malformed, raises ValueError naming the path (and the
+    line of a malformed row)."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines() or [""]
+    except UnicodeDecodeError as e:
+        raise ValueError(f"cannot read records file {path}: {e}") from e
+    header = lines[0].strip()
+    if header != CSV_HEADER:
+        raise ValueError(f"{path}, line 1: unexpected CSV header {header!r}")
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}, line 1: unexpected CSV header "
-                             f"{header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cols = line.split(",")
-            try:
-                if len(cols) != 9:
-                    raise ValueError(f"{len(cols)} columns, expected 9")
-                records.append(ExperimentRecord(
-                    experiment=cols[0], n=int(cols[1]), k=int(cols[2]),
-                    seed=int(cols[3]), quantity=cols[4],
-                    value=float(cols[5]), bound=float(cols[6]),
-                    valid_k=bool(int(cols[7])), ms=int(cols[8])))
-            except ValueError as e:
-                raise ValueError(f"{path}, line {lineno}: malformed row "
-                                 f"{line!r} ({e})") from e
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        cols = line.split(",")
+        try:
+            if len(cols) != 9:
+                raise ValueError(f"{len(cols)} columns, expected 9")
+            records.append(ExperimentRecord(
+                experiment=cols[0], n=int(cols[1]), k=int(cols[2]),
+                seed=int(cols[3]), quantity=cols[4], value=float(cols[5]),
+                bound=float(cols[6]), valid_k=bool(int(cols[7])),
+                ms=int(cols[8])))
+        except ValueError as e:
+            raise ValueError(f"{path}, line {lineno}: malformed row "
+                             f"{line!r} ({e})") from e
     return records
 
 
@@ -624,9 +618,10 @@ def build_config(pairs: dict) -> ExperimentConfig:
     """Build a config from parsed `key = value` pairs.
 
     Each key is read only on the path that uses it, which the experiment
-    kind, the k rule and the manifold, density or field kind choose.  A key
-    that no path read is rejected, not dropped: one ConfigError names every
-    such key.  `probes.cells` and `probes.count` are read for every study.
+    kind, `k.values` or else the k rule, and the manifold, density or
+    field kind choose.  A key that no path read is rejected, not dropped:
+    one ConfigError names every such key.  `probes.cells` and
+    `probes.count` are read for every study.
     """
     pairs = dict(pairs)  # _get takes each key it reads out of this copy
     kind = _get(pairs, "experiment.kind", str, required=True)
@@ -634,17 +629,15 @@ def build_config(pairs: dict) -> ExperimentConfig:
     manifold = _spec("manifold", _manifold_from, pairs)
     density = (_spec("density", _density_from, pairs) if manifold is None
                else None)
-    study = {}
-    if kind == "setcount":
-        # The counter reads only the sample points.
-        study["k_values"] = _get(pairs, "k.values", _ints, default=())
-    else:
+    study = {"k_values": _get(pairs, "k.values", _ints, default=())}
+    if kind != "setcount":  # the counter reads only the sample points
         study.update(
             delta=_get(pairs, "trial.delta", float, default=0.1),
-            k_rule=_k_rule_from(pairs),
             noise=_spec("noise", NoiseSpec,
                         _get(pairs, "noise.kind", str, default="none"),
                         _get(pairs, "noise.scale", float, default=0.0)))
+        if not study["k_values"]:
+            study["k_rule"] = _k_rule_from(pairs)
     if kind == "levelset":
         study.update(level_lambda=_get(pairs, "level.lambda", float),
                      m2=_get(pairs, "level.m2", float))
@@ -674,8 +667,6 @@ def build_config(pairs: dict) -> ExperimentConfig:
 
 def _k_rule_from(pairs) -> KRule:
     rule = _get(pairs, "k.rule", str, default="optimal")
-    if rule == "fixed":
-        return KRule(rule, fixed=_get(pairs, "k.fixed", int))
     factor = _get(pairs, "k.factor", float, default=1.0)
     if rule == "power":
         return KRule(rule, factor=factor,

@@ -1,13 +1,14 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 Run with `pytest -s tests/test_acceptance.py` to see one PASS/FAIL line per
-criterion.  Criteria 2-7 are seeded Monte Carlo studies driven by the
-canned configs under scripts/configs/; the whole module takes about 25
-seconds on a 2-vCPU machine, most of it in the 10-D manifold study (AC3)
-and the level-set ladder (AC6).
+criterion.  Criteria 2-8 are seeded Monte Carlo studies driven by the
+canned configs under scripts/configs/; the whole module takes 7-9
+seconds on a 2-vCPU machine, nearly half of it in the 10-D manifold
+study (AC3).
 """
 
 import hashlib
+import importlib.util
 import math
 import time
 from pathlib import Path
@@ -43,10 +44,8 @@ CANNED_CSV_SHA256 = {
         "f57c2ff451f8c2749d0046a29ea42bcc5212a538121a4b1716dad5deab292dd4",
     "manifold_rate.cfg":
         "c3b692dae12f8f5ed5dddee285eb94fbab0aa5588a5ed6c1e3db03aef0a85f40",
-    "variance_scaling_k64.cfg":
-        "dc7aafba1a152dbab29af0af3902e8c56bbb6270eee074849b716b303f47c768",
-    "variance_scaling_k128.cfg":
-        "0aeece8bee275e15948016de9ccec9436eeacf5e3bcb2340225f91402c0b7b35",
+    "variance_scaling.cfg":
+        "5eba42bc30e7f1aeb9996a338fdfe524cb048c0d3c89b26ff72d71f2ecaf171d",
     "coverage.cfg":
         "289cf6ce5324a7622fb2b1d689b057b8e2238595a6c72b303651ea1f7c9f006f",
     "levelset_rate.cfg":
@@ -58,9 +57,33 @@ CANNED_CSV_SHA256 = {
 }
 
 
+# sha256 of the variance study's records of each k alone: the bytes that
+# the one-k configs it replaced, variance_scaling_k64.cfg and _k128.cfg,
+# wrote.
+VARIANCE_K_CSV_SHA256 = {
+    64: "dc7aafba1a152dbab29af0af3902e8c56bbb6270eee074849b716b303f47c768",
+    128: "0aeece8bee275e15948016de9ccec9436eeacf5e3bcb2340225f91402c0b7b35",
+}
+
+
+def csv_sha256(records):
+    return hashlib.sha256(records_to_csv(records).encode("utf-8")).hexdigest()
+
+
 def assert_canned_bytes(name, records):
-    digest = hashlib.sha256(records_to_csv(records).encode("utf-8"))
-    assert digest.hexdigest() == CANNED_CSV_SHA256[name], name
+    assert csv_sha256(records) == CANNED_CSV_SHA256[name], name
+
+
+def test_canned_studies_pinned():
+    # A merged, added or renamed config must be both run by run_all.py and
+    # pinned above.
+    spec = importlib.util.spec_from_file_location(
+        "run_all", CONFIG_DIR.parent / "run_all.py")
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    configs = sorted(path.name for path in CONFIG_DIR.glob("*.cfg"))
+    assert sorted(name for name, _, _ in run_all.STUDIES) == configs
+    assert sorted(CANNED_CSV_SHA256) == configs
 
 
 def test_ac1_oracle_equivalence():
@@ -107,13 +130,14 @@ def test_ac3_manifold_adaptation():
 
 
 def test_ac4_variance_scaling():
+    records = run_regression_rate(study_config("variance_scaling.cfg"))
+    assert_canned_bytes("variance_scaling.cfg", records)
+    assert {r.k for r in records} == set(VARIANCE_K_CSV_SHA256)
     med = {}
-    for name, k in [("variance_scaling_k64.cfg", 64),
-                    ("variance_scaling_k128.cfg", 128)]:
-        records = run_regression_rate(study_config(name))
-        assert all(r.k == k for r in records)
-        assert_canned_bytes(name, records)
-        med[k] = float(np.median([r.value for r in records]))
+    for k, digest in VARIANCE_K_CSV_SHA256.items():
+        of_k = [r for r in records if r.k == k]
+        assert csv_sha256(of_k) == digest, k
+        med[k] = float(np.median([r.value for r in of_k]))
     ratio = med[128] / med[64]
     report("AC4 variance-term scaling", 0.6 <= ratio <= 0.82,
            f"doubling k: median ratio {ratio:.4f} in [0.60, 0.82], "

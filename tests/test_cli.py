@@ -260,6 +260,16 @@ class TestFitPipeline:
         err = capsys.readouterr().err
         assert str(path) in err and where in err
 
+    def test_fit_non_utf8_records_exit_1(self, tmp_path, capsys):
+        # Bytes that are not UTF-8 are bad input, named like a bad config.
+        path = tmp_path / "latin-1.csv"
+        path.write_bytes("experiment,n,k,seed,quantity,value,bound,valid_k,"
+                         "ms\nregression,10,1,0,caf\xe9,1.0,nan,1,0\n"
+                         .encode("latin-1"))
+        assert cli_main(["fit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "runtime failure" not in err
+
     def test_fit_degenerate_exit_1(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("experiment,n,k,seed,quantity,value,bound,valid_k,ms\n"
@@ -491,6 +501,26 @@ class TestCoverageCommand:
         assert "coverage=" in err and "radius_coverage=" in err
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 1 + 2 * 2  # header + 2 quantities x 2 seeds
+
+    def test_violations_name_their_k(self, tmp_path, monkeypatch, capsys):
+        # With a zero error bound every sup_error record is a violation,
+        # named by its (n, k, seed): rung 32 is below k = 40.
+        import knnrates.bounds
+
+        monkeypatch.setattr(knnrates.bounds, "holder_bound",
+                            lambda *args, **kwargs: 0.0)
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text(CONFIG.replace("experiment.kind = regression",
+                                      "experiment.kind = coverage")
+                       .replace("ladder.n = 32, 64, 128, 256",
+                                "ladder.n = 32, 64")
+                       .replace("k.rule = power\nk.exponent = 0.6667",
+                                "k.values = 3, 40"))
+        assert cli_main(["coverage", "--config", str(cfg), "--out",
+                         str(tmp_path / "cov.csv")]) == 0
+        assert ("sup_violations=[(32, 3, 0), (32, 3, 1), (64, 3, 0), "
+                "(64, 40, 0), (64, 3, 1), (64, 40, 1)]"
+                in capsys.readouterr().err)
 
     def test_summary_counts_each_trial_once(self, tmp_path, monkeypatch,
                                             capsys):

@@ -38,10 +38,10 @@ def base_pairs(**over):
         "field.peak": "1.0",
     }
     # A kind or k rule rejects the keys it does not read, so overriding the
-    # field or density kind or the k rule drops the base's keys of that
-    # section.
+    # field or density kind or the k rule, or fixing k by k.values, drops
+    # the base's keys of that section.
     for section, kind in (("density", "kind"), ("field", "kind"),
-                          ("k", "rule")):
+                          ("k", "rule"), ("k", "values")):
         if f"{section}.{kind}" in over:
             pairs = {key: value for key, value in pairs.items()
                      if not key.startswith(section + ".")}
@@ -87,11 +87,15 @@ class TestConfigParsing:
             build_config(base_pairs(**{key: "1"}))
 
     # Each key in a config whose path does not read it: a power rule reads
-    # no k.fixed or k.mode and an optimal rule no k.exponent; only setcount
-    # reads k.values and only levelset the level.* keys; manifold.* keys
-    # need a manifold.kind; setcount reads no k rule, noise or trial.delta.
+    # no k.mode and an optimal rule no k.exponent; k.values leaves every
+    # k.rule key unread, and no study reads k.fixed; only levelset reads
+    # the level.* keys; manifold.* keys need a manifold.kind; setcount
+    # reads no k rule, noise or trial.delta.
     @pytest.mark.parametrize("study, key, value", [
-        ("power", "k.fixed", "7"), ("power", "k.values", "3, 5"),
+        ("power", "k.fixed", "7"), ("optimal", "k.fixed", "7"),
+        ("values", "k.fixed", "7"), ("values", "k.rule", "power"),
+        ("values", "k.exponent", "0.5"), ("values", "k.factor", "2"),
+        ("values", "k.mode", "regression"),
         ("power", "level.lambda", "0.3"), ("power", "level.m2", "0.3"),
         ("power", "k.mode", "regression"), ("power", "manifold.radius", "0.2"),
         ("optimal", "k.exponent", "0.5"), ("setcount", "k.rule", "power"),
@@ -101,6 +105,7 @@ class TestConfigParsing:
     def test_unread_key_named(self, study, key, value):
         pairs = {"power": base_pairs(),
                  "optimal": base_pairs(**{"k.rule": "optimal"}),
+                 "values": base_pairs(**{"k.values": "3, 5"}),
                  "setcount": setcount_pairs(**{
                      "k.values": "1, 3", "density.low": "0, 0",
                      "density.high": "1, 1"})}[study]
@@ -132,17 +137,6 @@ class TestConfigParsing:
     def test_repeated_k_values_rejected(self):
         with pytest.raises(ConfigError, match="^k.values: .*distinct"):
             build_config(setcount_pairs(**{"k.values": "3, 1, 3"}))
-
-    @pytest.mark.parametrize("kind", ["regression", "coverage", "levelset",
-                                      "maxima"])
-    def test_k_values_only_for_setcount(self, kind):
-        # A study other than setcount takes its one k per rung from its k
-        # rule; k.values beside it is an error, not a silent second rule.
-        from dataclasses import replace
-
-        cfg = build_config(base_pairs(**{"k.rule": "fixed", "k.fixed": "3"}))
-        with pytest.raises(ConfigError, match="^k.values: "):
-            replace(cfg, kind=kind, level_lambda=0.5, k_values=(2, 5))
 
     def test_missing_required_named(self):
         pairs = base_pairs()
@@ -201,12 +195,6 @@ class TestKRule:
         rule = KRule(rule="power", exponent=2.0 / 3.0)
         assert resolve_k(rule, 512, 1, None) == math.ceil(512 ** (2.0 / 3.0))
 
-    def test_fixed_rule(self):
-        assert resolve_k(KRule(rule="fixed", fixed=5), 100, 1, None) == 5
-
-    def test_fixed_clamped_to_n(self):
-        assert resolve_k(KRule(rule="fixed", fixed=500), 100, 1, None) == 100
-
     def test_optimal_rule_regression(self):
         rule = KRule(rule="optimal", mode="regression")
         assert resolve_k(rule, 10 ** 4, 2, 1.0) == 100
@@ -230,7 +218,7 @@ class TestKRule:
     def test_validation(self):
         with pytest.raises(ConfigError):
             KRule(rule="sometimes")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^k.rule: unknown rule"):
             KRule(rule="fixed")
         with pytest.raises(ConfigError):
             KRule(rule="power", exponent=-1.0)
@@ -395,7 +383,7 @@ class TestRunners:
         cfg = build_config(base_pairs(**{
             "experiment.kind": "maxima", "ladder.n": "64",
             "trial.seeds_per_n": "1", "noise.kind": "none", "noise.scale": "0",
-            "k.rule": "fixed", "k.fixed": "1",
+            "k.values": "1",
             "field.kind": "quadratic-peak", "field.center": "0.4",
             "field.curvature": "1.0", "field.height": "1.0",
             "field.r_m": "0.25"}))
@@ -658,6 +646,29 @@ def test_manifold_bytes_with_cold_and_warm_rotation():
     assert _rotation_matrix.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("name", ["regression", "manifold", "coverage",
+                                  "levelset", "maxima"])
+def test_each_k_writes_the_bytes_of_its_own_study(name):
+    # Every k of k.values reads the samples of its trial, so a study of
+    # two ks writes, for each k, the bytes of the study of that k alone.
+    # Rung 32 of the regression ladder is below k = 40: it has no k = 40
+    # trials in either study.
+    from knnrates import run_experiment
+
+    pairs = base_pairs() if name == "regression" else GOLDEN_CONFIGS[name][0]
+    pairs = {key: value for key, value in pairs.items()
+             if not key.startswith("k.")}
+
+    def run(ks):
+        return run_experiment(build_config({**pairs, "k.values": ks}))
+
+    both = run("3, 40")
+    assert {r.k for r in both} == {3, 40}
+    for k in (3, 40):
+        assert records_to_csv([r for r in both if r.k == k]) == \
+            records_to_csv(run(str(k)))
+
+
 # ---------------------------------------------------------------------------
 # trials on a thread pool
 
@@ -799,7 +810,7 @@ class TestParallelTrials:
         cfg = build_config({
             "experiment.kind": "regression", "seed.master": "11",
             "ladder.n": "8192", "trial.seeds_per_n": "6",
-            "k.rule": "fixed", "k.fixed": "408", "probes.cells": "512",
+            "k.values": "408", "probes.cells": "512",
             "noise.kind": "gaussian", "noise.scale": "0.1",
             "manifold.kind": "circle", "manifold.ambient_dim": "10",
             "manifold.radius": "0.15915494309189535",

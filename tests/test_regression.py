@@ -625,7 +625,7 @@ class TestParallelBatch:
         cfg = build_config({
             "experiment.kind": "regression", "seed.master": "13",
             "ladder.n": "256", "trial.seeds_per_n": "4",
-            "k.rule": "fixed", "k.fixed": "16", "probes.cells": "256",
+            "k.values": "16", "probes.cells": "256",
             "noise.kind": "gaussian", "noise.scale": "0.1",
             "manifold.kind": "circle", "manifold.ambient_dim": "4",
             "manifold.radius": "0.15915494309189535",
