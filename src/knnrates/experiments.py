@@ -128,6 +128,9 @@ class ExperimentConfig:
             raise ConfigError("k.values: entries must be >= 1")
         if len(set(self.k_values)) != len(self.k_values):
             raise ConfigError("k.values: entries must be distinct")
+        if self.k_values and min(self.k_values) > ladder[-1]:
+            raise ConfigError(f"k.values: every entry is above the largest "
+                              f"rung, n = {ladder[-1]}, so no trial runs")
         if self.kind == "setcount" and not self.k_values:
             raise ConfigError("k.values is required for setcount experiments")
         if self.kind == "levelset" and self.level_lambda is None:
@@ -207,11 +210,19 @@ class DegenerateFitError(ValueError):
 def fit_rate(records, quantity: str) -> RateFit:
     """OLS of log(per-rung median) on log(n).  Non-finite values (recorded
     failure rows) are dropped; a rung with no finite values, fewer than four
-    rungs, or a non-positive median makes the fit degenerate."""
-    by_n = {}
+    rungs, or a non-positive median makes the fit degenerate, and so does a
+    rung with records of more than one k, whose median would pool the ks."""
+    by_n, ks = {}, {}
     for r in records:
-        if r.quantity == quantity and math.isfinite(r.value):
-            by_n.setdefault(r.n, []).append(r.value)
+        if r.quantity == quantity:
+            ks.setdefault(r.n, set()).add(r.k)
+            if math.isfinite(r.value):
+                by_n.setdefault(r.n, []).append(r.value)
+    mixed = [n for n in sorted(ks) if len(ks[n]) > 1]
+    if mixed:
+        raise DegenerateFitError(
+            f"rung n={mixed[0]} holds {quantity!r} records of ks "
+            f"{sorted(ks[mixed[0]])}; fit one k at a time")
     if len(by_n) < 4:
         raise DegenerateFitError(
             f"need >= 4 rungs with finite {quantity!r} values, got {len(by_n)}")
@@ -341,9 +352,12 @@ def _run_trials(cfg: ExperimentConfig, fld: ScalarField,
 
 
 def _each_k(measure):
-    """The `measure(data, ks)` of `_run_trials` from a `measure(data, k)`
-    that takes the trial's ks one at a time."""
-    return lambda data, ks: [measure(data, k) for k in ks]
+    """The `measure(data, ks)` of `_run_trials` from a `measure(reg)`; the
+    ks of a trial read copies of one regressor, so they share its index."""
+    def each(data, ks):
+        reg = make_regressor(data, ks[0])
+        return [measure(replace(reg, k=k)) for k in ks]
+    return each
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +374,7 @@ def run_regression_rate(cfg: ExperimentConfig) -> list:
         cfg, fld, "manifold" if manifold else "full",
         lambda params, n, k: {"sup_error": _try(
             bnd.holder_bound, params, n, k, manifold=manifold)},
-        _each_k(lambda data, k: [("sup_error", sup_error(
-            make_regressor(data, k), fld, probes))]))
+        _each_k(lambda reg: [("sup_error", sup_error(reg, fld, probes))]))
 
 
 @dataclass(frozen=True)
@@ -392,11 +405,10 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageResult:
                 "for the error and radius bounds")
         return {"sup_error": err_bound, "radius_max": rad_bound}
 
-    def measure(data, k):
-        reg = make_regressor(data, k)
+    def measure(reg):
         return [("sup_error", sup_error(reg, fld, probes)),
                 ("radius_max",
-                 float(knn_radii(reg.index, probes.points, k).max()))]
+                 float(knn_radii(reg.index, probes.points, reg.k).max()))]
 
     records = _run_trials(cfg, fld, "manifold" if manifold else "full",
                           bounds, _each_k(measure))
@@ -423,13 +435,13 @@ def run_levelset(cfg: ExperimentConfig) -> list:
     grid, _ = uniform_grid(lo, hi, cfg.probe_cells)
     truth = true_level_set_grid(fld, lam, grid)
 
-    def measure(data, k):
-        reg = make_regressor(data, k)
-        eps = level_set_epsilon(data, cfg.density.dim, k, cfg.delta).epsilon
+    def measure(reg):
+        eps = level_set_epsilon(reg.data, cfg.density.dim, reg.k,
+                                cfg.delta).epsilon
         members = estimate_level_set(reg, lam, eps)
         if truth.size == 0 or members.size == 0:
             return [("d_H", float("nan"))]
-        return [("d_H", hausdorff_distance(data.x.points[members], truth))]
+        return [("d_H", hausdorff_distance(reg.data.x.points[members], truth))]
 
     return _run_trials(
         cfg, fld, "levelset",
@@ -447,8 +459,8 @@ def run_maxima(cfg: ExperimentConfig) -> list:
                           "a declared maximizer")
     x0 = np.asarray(fld.metadata.argmax)
 
-    def measure(data, k):
-        top = data.x.points[estimate_maxima(make_regressor(data, k))]
+    def measure(reg):
+        top = reg.data.x.points[estimate_maxima(reg)]
         return [("maxima_dist", float(np.linalg.norm(top - x0)))]
 
     return _run_trials(

@@ -45,16 +45,15 @@ class FieldMetadata:
     """Declared constants of a ground-truth field, exact by construction.
 
     alpha/c_alpha: smoothness |f(x)-f(x')| <= c_alpha * |x-x'|^alpha.
-    level/beta/c_low/c_high/r_m: level-boundary regularity at `level`,
-        c_low * d(x, boundary)^beta <= |level - f(x)| <= c_high * d^beta
-        within distance r_m of the boundary.
+    beta/c_low/c_high/r_m: level-boundary regularity at the level the
+        field was built for, c_low * d(x, boundary)^beta <= |level - f(x)|
+        <= c_high * d^beta within distance r_m of the boundary.
     argmax: unique maximizer, with quadratic pinch constants c_low/c_high
         when the field declares them for maxima estimation.
     """
 
     alpha: Optional[float] = None
     c_alpha: Optional[float] = None
-    level: Optional[float] = None
     beta: Optional[float] = None
     c_low: Optional[float] = None
     c_high: Optional[float] = None

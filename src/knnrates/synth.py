@@ -215,7 +215,7 @@ def _tent_field(center, slope: float, peak: float = 1.0,
         if level >= peak:
             raise ValueError("level: must lie below the tent's peak")
         rho = (peak - level) / slope
-        meta.update(level=level, beta=1.0, c_low=slope, c_high=slope, r_m=rho)
+        meta.update(beta=1.0, c_low=slope, c_high=slope, r_m=rho)
     return ScalarField(
         dim=center.shape[0],
         fn=lambda X: peak - slope * _radial_dist(X, center),

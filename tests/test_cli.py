@@ -56,6 +56,9 @@ BAD_VALUES = [pytest.param(*case, id=case[2]) for case in [
     ("k.exponent = 0.6667", "k.exponent = 0.6667\nk.factor = nan",
      "k.factor"),
     ("k.rule = power", "k.rule = optimal\nk.mode = bogus", "k.mode"),
+    # A study whose ks all lie above its largest rung has no trials.
+    ("k.rule = power\nk.exponent = 0.6667", "k.values = 300, 40000",
+     "k.values"),
     # A center with more coordinates than the density would broadcast
     # against the points and measure some other field.
     ("field.center = 0.5", "field.center = 0.5, 0.5, 0.5", "field.center"),
@@ -153,6 +156,19 @@ class TestExitCodes:
         assert cli_main(["regress", "--config", str(config_path),
                          "--quiet"]) == 2
         assert "disk on fire" in capsys.readouterr().err
+
+    def test_coverage_k_values_above_every_rung_exit_1(self, tmp_path,
+                                                       capsys):
+        # No rung has a trial, so there is no coverage to divide out: a bad
+        # config, not a runtime failure.
+        cfg = tmp_path / "high-k.cfg"
+        cfg.write_text(CONFIG.replace("experiment.kind = regression",
+                                      "experiment.kind = coverage")
+                       .replace("k.rule = power\nk.exponent = 0.6667",
+                                "k.values = 40000"))
+        assert cli_main(["coverage", "--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "k.values" in err and "runtime failure" not in err
 
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0
@@ -275,6 +291,17 @@ class TestFitPipeline:
         path.write_text("experiment,n,k,seed,quantity,value,bound,valid_k,ms\n"
                         "regression,10,1,0,sup_error,1.0,nan,1,0\n")
         assert cli_main(["fit", str(path)]) == 1
+
+    def test_fit_two_ks_at_a_rung_exit_1(self, tmp_path, capsys):
+        # A k sweep's records are fitted one k at a time, not pooled.
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "experiment,n,k,seed,quantity,value,bound,valid_k,ms\n" +
+            "".join(f"regression,{n},{k},0,sup_error,{1 / n},nan,1,0\n"
+                    for n in (32, 64, 128, 256) for k in (4, 32)))
+        assert cli_main(["fit", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "rung n=32" in err and "[4, 32]" in err
 
 
 MANIFOLD_CONFIG = """\

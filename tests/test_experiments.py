@@ -269,6 +269,23 @@ class TestFitRate:
                    for n in (64, 128, 256, 512, 1024)]
         assert fit_rate(records, "sup_error") == fit_rate(records, "sup_error")
 
+    def test_rung_with_two_ks_degenerate(self):
+        # One median over the records of two ks would mix two estimators'
+        # errors; the error names the rung and its ks.
+        from dataclasses import replace
+
+        records = [rec(n, n ** -0.5) for n in (100, 200, 400, 800)]
+        records.append(replace(rec(200, 1.0, seed=1), k=4))
+        with pytest.raises(DegenerateFitError,
+                           match=r"rung n=200 .*ks \[1, 4\]"):
+            fit_rate(records, "sup_error")
+        # A k that changes from rung to rung, as a k rule gives, still
+        # fits, and so do other quantities' records at other ks.
+        ruled = [replace(rec(n, n ** -0.5), k=n // 100)
+                 for n in (100, 200, 400, 800)]
+        ruled.append(replace(rec(200, 1.0, quantity="radius_max"), k=9))
+        assert abs(fit_rate(ruled, "sup_error").slope + 0.5) <= 1e-10
+
 
 class TestCsv:
     def test_header_and_sorting(self):
@@ -667,6 +684,49 @@ def test_each_k_writes_the_bytes_of_its_own_study(name):
     for k in (3, 40):
         assert records_to_csv([r for r in both if r.k == k]) == \
             records_to_csv(run(str(k)))
+
+
+def study_pairs(name, ks):
+    """The pairs of a GOLDEN_CONFIGS study (base_pairs for "regression")
+    with its k keys replaced by `k.values = ks`."""
+    pairs = base_pairs() if name == "regression" else GOLDEN_CONFIGS[name][0]
+    return {**{key: value for key, value in pairs.items()
+               if not key.startswith("k.")}, "k.values": ks}
+
+
+STUDY_KINDS = ["regression", "manifold", "coverage", "levelset", "maxima",
+               "setcount"]
+
+
+@pytest.mark.parametrize("name", STUDY_KINDS)
+def test_one_index_per_trial(name, monkeypatch):
+    # The ks of a trial read copies of one regressor, so a study of three
+    # ks builds one sample index per trial; setcount counts neighbor sets
+    # from distance blocks and builds none.
+    from knnrates import regression, run_experiment
+
+    build, builds = regression.build_index, []
+
+    def counting(points):
+        builds.append(points)
+        return build(points)
+
+    monkeypatch.setattr(regression, "build_index", counting)
+    records = run_experiment(build_config(study_pairs(name, "1, 2, 5")))
+    assert {r.k for r in records} == {1, 2, 5}
+    trials = {(r.n, r.seed) for r in records}
+    assert len(builds) == (0 if name == "setcount" else len(trials))
+
+
+@pytest.mark.parametrize("name", STUDY_KINDS)
+def test_k_values_above_every_rung_rejected(name):
+    # No rung would have a trial: a coverage study would divide by zero
+    # rows and the others would write a header alone.
+    top = build_config(study_pairs(name, "1")).n_ladder[-1]
+    build_config(study_pairs(name, f"{top}, 40000"))
+    with pytest.raises(ConfigError, match="^k.values: every entry is above "
+                       f"the largest rung, n = {top}"):
+        build_config(study_pairs(name, f"{top + 1}, 40000"))
 
 
 # ---------------------------------------------------------------------------
