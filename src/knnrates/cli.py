@@ -7,6 +7,7 @@ All randomness flows from --seed (when given) or the config master seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from collections import Counter
@@ -18,7 +19,8 @@ from .experiments import (ConfigError, DegenerateFitError, fit_rate,
 
 
 class _UsageError(Exception):
-    """A bad command line or an unreadable input file: exit code 1."""
+    """A bad command line, an unreadable input file or an --out path that
+    cannot be written: exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,11 +63,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _writing_out(path):
+    """Bad usage, naming the path, when --out cannot be written."""
+    try:
+        yield
+    except OSError as e:
+        raise _UsageError(f"cannot write --out {path}: "
+                          f"{e.strerror or e}") from e
+
+
 def _emit(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        with _writing_out(path), open(path, "w", encoding="utf-8",
+                                      newline="\n") as f:
             f.write(text)
 
 
@@ -135,7 +148,8 @@ def cli_main(argv=None) -> int:
         if args.out is None:
             sys.stdout.write(records_to_csv(records))
         else:
-            write_records(args.out, records)
+            with _writing_out(args.out):
+                write_records(args.out, records)
         if not args.quiet:
             # A trial may write several records (one per k of `k.values`,
             # two per k for coverage), each carrying the trial's time:
@@ -145,8 +159,7 @@ def cli_main(argv=None) -> int:
             print(f"{args.command}: {len(records)} records in ~{total_ms} ms",
                   file=sys.stderr)
         return 0
-    except (ConfigError, DegenerateFitError, FileNotFoundError,
-            _UsageError) as e:
+    except (ConfigError, DegenerateFitError, _UsageError) as e:
         print(f"knnrates {args.command}: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure

@@ -116,6 +116,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"experiment.kind: unknown kind {self.kind!r}")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ConfigError(f"seed.master: must lie in [0, 2**64), got "
+                              f"{self.master_seed}")
         ladder = tuple(int(n) for n in self.n_ladder)
         if not ladder:
             raise ConfigError("ladder.n: at least one rung is required")

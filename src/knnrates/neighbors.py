@@ -40,13 +40,12 @@ divided by the member count, rounded once, so it does not depend on the
 order of the members.  The exact sums come from int64 limbs of the
 observations (`_limbs`); in D = 1 a row's sum is the difference of two
 prefix sums over the sorted order, taken over the span of the batch's
-runs alone, so no row is gathered or sorted.  A batch rounds up to
-_MEAN_ROWS rows' sums at once, tied or not (`_means`, in int64 numpy
-with no Python int per row).  A scalar mean divides one
-Python int (`_exact_mean`), the oracle the batch rounding is tested
-against.  The estimators at the sample points start from float means with
-a proven error bound (`_sample_bounds`) and round only the rows it leaves
-undecided.
+runs alone, so no row is gathered or sorted.  Every path rounds in one
+place (`_means`): a row's sum is rebuilt as a Python int and divided by
+its count with int / int, for one scalar mean and for a batch's rows
+alike.  The estimators at the sample points start from float means with
+a proven error bound (`_sample_bounds`) and round only the rows it
+leaves undecided.
 """
 
 from __future__ import annotations
@@ -88,10 +87,10 @@ _TIE_ENTRIES = 2 ** 14
 # process's peak memory.
 _CHUNK_ENTRIES = 2 ** 16
 
-# A batch call rounds its rows' means this many at a time.  The int64
-# temporaries of _means take near 150 bytes a row with two limbs, so a
-# large call keeps them near 2.5 MiB, while most calls pay its fixed cost
-# once.
+# A batch call rounds its rows' means this many at a time, so that at most
+# this many rows' exact sums and means are alive as Python objects: near
+# 210 bytes a row with two limbs, about 3.3 MiB a block, however many
+# rows the call has.
 _MEAN_ROWS = 2 ** 14
 
 
@@ -398,97 +397,26 @@ def _limbs(y: np.ndarray):
 
 
 def _means(sums: np.ndarray, counts, bits: int, e: int) -> np.ndarray:
-    """Correctly rounded means from exact limb sums, in int64 alone.
+    """Correctly rounded means from exact limb sums.
 
     `sums` is the (limbs, rows) array of each row's limb sums over its
     members, in the scale of _limbs(y) (bits, e), and `counts` the member
     count m of each row (or one count for all): a row's mean is 2**e * S / m
-    with S the sum over l of sums[l] << (bits * l).  Carries are normalized
-    so that every digit of S but the top lies in [0, 2**bits), which gives
-    S the top's sign, and again for |S|.  A long division by m, top digit
-    first, gives the quotient digits (r << bits plus a digit stays below
-    m << bits <= 2**63), with zero digits appended below |S| until the
-    quotient has at least 62 bits.  Its top 62 bits, and a sticky bit for
-    any nonzero bit or remainder below them, round to nearest even at 53
-    bits, or at 2**-1074 below 2**-1022, and are packed into the result's
-    bits: the rounding of the one-row int / int in _exact_mean, bit for
-    bit, signed zeros included.
+    with S the sum over l of sums[l] << (bits * l).  S is rebuilt as a
+    Python int, top limb first, and divided with int / int, which is
+    correctly rounded (to nearest even, subnormals and signed zeros
+    included); for e < 0, 2**-e goes into the divisor so that a subnormal
+    result is rounded once.
     """
-    rows = sums.shape[1]
-    m = np.broadcast_to(np.asarray(counts, dtype=np.int64), (rows,))
-    digits = np.zeros((sums.shape[0] + 1, rows), dtype=np.int64)
-    digits[:-1] = sums
-    mask = (1 << bits) - 1
-
-    def carry():
-        for lo, hi in zip(digits[:-1], digits[1:]):
-            hi += lo >> bits
-            lo &= mask
-
-    carry()
-    neg = digits[-1] < 0
-    digits *= 1 - 2 * neg.astype(np.int64)
-    carry()
-    size = digits.shape[0]
-    while size > 1 and not digits[size - 1].any():
-        size -= 1
-    # The quotient of a nonzero |S| << (bits * x) has at least
-    # 1 + bits * x - bitlen(m) bits.
-    x = -(-(61 + int(m.max(initial=1)).bit_length()) // bits)
-    q = np.empty((size + x, rows), dtype=np.int64)
-    r = np.zeros(rows, dtype=np.int64)
-    for i in range(size + x - 1, -1, -1):
-        cur = r << bits
-        if i >= x:
-            cur += digits[i - x]
-        q[i], r = np.divmod(cur, m)
-    # The top nonzero quotient digit q[h] has t bits, so the quotient's top
-    # 62 bits start at bit p.
-    h = np.full(rows, q.shape[0] - 1)
-    top = q[-1].copy()
-    for digit in q[-2::-1]:
-        zero = top == 0
-        h -= zero
-        np.copyto(top, digit, where=zero)
-    t = np.frexp(top.astype(np.float64))[1].astype(np.int64)
-    t -= top < (1 << np.maximum(t - 1, 0))
-    p = bits * h + t - 62
-    window = np.zeros(rows, dtype=np.int64)
-    sticky = r != 0
-    for i, digit in enumerate(q):
-        # numpy gives 0 for a shift by 64 bits or more.
-        up = np.maximum(bits * i - p, 0)
-        down = up - (bits * i - p)
-        part = digit >> down
-        sticky |= (part << down) != digit
-        window |= part << up
-    # The window's top bit is 2**E; `drop` bits go below a normal
-    # result's 53, or below 2**-1074.
-    E = p + e - bits * x + 61
-    drop = np.minimum(np.maximum(-1013 - E, 9), 63)
-    kept = window >> drop
-    rest = window - (kept << drop)
-    half = 1 << (drop - 1)
-    kept += (rest > half) | ((rest == half) & (sticky | (kept & 1 == 1)))
-    # The mantissa's leading 1 (or a carry out of it) adds to the biased
-    # exponent E + 1022; a subnormal has none.
-    kept += (np.maximum(E + 1022, 0) * (window != 0)) << 52
-    kept |= neg.astype(np.int64) << 63
-    return kept.view(np.float64)
-
-
-def _exact_mean(values: np.ndarray) -> float:
-    """The correctly rounded mean of the 1-D array `values`, the one-row
-    oracle of _means: the exact sum is rebuilt from the limb sums as a
-    Python int and divided with int / int, which is correctly rounded; for
-    e < 0, 2**-e goes into the divisor so that a subnormal result is
-    rounded once."""
-    parts, bits, e = _limbs(values)
-    total = 0
-    for part in reversed(parts.sum(axis=1).tolist()):
-        total = (total << bits) + part
-    m = values.size
-    return (total << e) / m if e >= 0 else total / (m << -e)
+    m = np.full(sums.shape[1], counts).tolist()
+    total = sums[-1].tolist()
+    for limb in sums[-2::-1].tolist():
+        total = [(s << bits) + v for s, v in zip(total, limb)]
+    if e >= 0:
+        means = [(s << e) / c for s, c in zip(total, m)]
+    else:
+        means = [s / (c << -e) for s, c in zip(total, m)]
+    return np.array(means, dtype=np.float64)
 
 
 def _tied_rows(index: SpatialIndex, qs: np.ndarray, r: np.ndarray, k: int,
@@ -594,17 +522,17 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     k-th distance is not finite (it bounds no candidate set) take
     knn_query; every row's limb sums and member count go into one
     (limbs, rows) array for the call.
-    _means rounds the rows' sums _MEAN_ROWS rows at a time (once for most
-    calls).  Every mean is the correctly rounded one, so every row gets the
-    bits of a scalar loop.  A call splits its rows evenly among the fewest
-    chunks of at most _CHUNK_ENTRIES (2^16) entries, one per D = 1 row and
-    k+1 per D >= 2 row (16 bytes per entry, about 1 MiB, at a D >= 2
-    predict_batch chunk's peak: the tree's indices and one limb gather),
-    or of one row when k+1 alone exceeds that, and runs them at once on
-    the usable CPUs (_map_on_cpus), or in a loop when called from a pool
-    worker such as a study's trial.  Each chunk writes its own rows, and
-    rows are settled independently, so neither chunks nor threads change a
-    bit.
+    _means rounds the rows' sums as Python ints, _MEAN_ROWS rows at a time
+    (once for most calls), the rounding of a scalar predict, so every row
+    gets the bits of a scalar loop.  A call splits its rows evenly among
+    the fewest chunks of at most _CHUNK_ENTRIES (2^16) entries, one per
+    D = 1 row and k+1 per D >= 2 row (16 bytes per entry, about 1 MiB, at
+    a D >= 2 predict_batch chunk's peak: the tree's indices and one limb
+    gather), or of one row when k+1 alone exceeds that, and runs them at
+    once on the usable CPUs (_map_on_cpus), or in a loop when called from
+    a pool worker such as a study's trial.  Each chunk writes its own rows,
+    and rows are settled independently, so neither chunks nor threads
+    change a bit.
     """
     ps = index.source
     Q = _check_queries(queries, ps.dim)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .neighbors import (PointSet, SpatialIndex, as_point_set, build_index,
-                        knn_query, _batch, _exact_mean)
+                        knn_query, _batch, _limbs, _means)
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,9 @@ def predict(reg: Regressor, query) -> float:
     the exact sum of the members' observations divided by the member
     count, correctly rounded."""
     members = knn_query(reg.index, query, reg.k).member_indices
-    return _exact_mean(reg.data.y[members])
+    parts, bits, e = _limbs(reg.data.y[members])
+    return float(_means(parts.sum(axis=1, keepdims=True), members.size,
+                        bits, e)[0])
 
 
 def predict_batch(reg: Regressor, queries) -> np.ndarray:

@@ -37,6 +37,8 @@ def config_path(tmp_path):
 
 # (line of CONFIG, its replacement, the key the error must name)
 BAD_VALUES = [pytest.param(*case, id=case[2]) for case in [
+    # The master seed is an unsigned 64-bit integer.
+    ("seed.master = 42", "seed.master = -1", "seed.master"),
     ("probes.cells = 64", "probes.cells = 0", "probes.cells"),
     # A rung whose sample no machine could hold (8 TiB of coordinates).
     ("ladder.n = 32, 64, 128, 256", "ladder.n = 32, 1099511627776",
@@ -169,6 +171,33 @@ class TestExitCodes:
         assert cli_main(["coverage", "--config", str(cfg), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert "k.values" in err and "runtime failure" not in err
+
+    @pytest.mark.parametrize("seed, code", [
+        ("-1", 1), (str(2 ** 64), 1), (str(2 ** 64 - 1), 0)],
+        ids=["-1", "2^64", "2^64-1"])
+    def test_seed_flag_range(self, config_path, monkeypatch, capsys, seed,
+                             code):
+        # --seed is checked as seed.master is, before any trial runs.
+        import knnrates.cli as climod
+
+        monkeypatch.setattr(climod, "run_experiment", lambda cfg: [])
+        assert cli_main(["regress", "--config", str(config_path), "--seed",
+                         seed, "--quiet"]) == code
+        if code:
+            assert "seed.master" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["regress", "fit"])
+    def test_unwritable_out_exit_1(self, config_path, tmp_path, capsys,
+                                   command):
+        # An --out that names a directory is bad usage, named in the error.
+        records = tmp_path / "r.csv"
+        assert cli_main(["regress", "--config", str(config_path), "--out",
+                         str(records), "--quiet"]) == 0
+        args = (["fit", str(records)] if command == "fit" else
+                ["regress", "--config", str(config_path)])
+        assert cli_main([*args, "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "runtime failure" not in err
 
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0

@@ -771,19 +771,26 @@ def fraction_mean(S, m, e):
 
 def assert_means(cases, n, L, e):
     """_means over the rows (S, m) equals float(Fraction(S) * 2**e / m) bit
-    for bit, from plain and from shuffled limbs."""
+    for bit, from plain and from shuffled limbs.  The counts go in as an
+    array, and the rows of each count m also on their own with m as one
+    scalar count, as predict passes it."""
+    counts = np.array([m for _, m in cases], dtype=np.int64)
+    want = bits([fraction_mean(S, m, e) for S, m in cases])
     for shuffle in (0, 3):
         sums = np.array([limb_sums(S, n, L, shuffle, seed=i)
                          for i, (S, _) in enumerate(cases)],
                         dtype=np.int64).T.reshape(L, -1)
-        counts = np.array([m for _, m in cases], dtype=np.int64)
         got = neighbors._means(sums, counts, 63 - n.bit_length(), e)
-        want = [fraction_mean(S, m, e) for S, m in cases]
-        assert np.array_equal(bits(got), bits(want)), (cases, e)
+        assert np.array_equal(bits(got), want), (cases, e)
+        for m in set(counts.tolist()):
+            rows = counts == m
+            got = neighbors._means(sums[:, rows], m, 63 - n.bit_length(), e)
+            assert np.array_equal(bits(got), want[rows]), (cases, e, m)
 
 
 class TestMeansRounding:
-    """The vectorized _means at its rounding edges, against
+    """_means, the one rounding of every k-NN mean (scalar predict and
+    every batch row), at its rounding edges, against
     float(Fraction(S) / m): ties to even, signed zeros, the subnormal
     boundary and underflow, many limbs and large counts."""
 
@@ -792,7 +799,7 @@ class TestMeansRounding:
     def test_exact_midpoints_round_to_even(self):
         # (2M + 1) / 2 lies half-way between the integers M and M + 1 of
         # the binade [2**52, 2**53): M even stays, M odd rounds up.  Just
-        # off the midpoint the sticky bit decides.
+        # off the midpoint it rounds to the nearer one.
         cases = []
         for M in (2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1,
                   2 ** 52 + 12345, 2 ** 52 + 12346):
