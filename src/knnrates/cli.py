@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 from collections import Counter
 
@@ -61,6 +62,20 @@ def _build_parser() -> _Parser:
     fit.add_argument("--out", default=None, help="output CSV path")
     fit.add_argument("--quiet", action="store_true")
     return parser
+
+
+def _check_out(path) -> None:
+    """Bad usage, naming the path, when --out is a directory or its parent
+    is not a directory the process can write to, found before any study
+    runs or records are read; _writing_out handles what this cannot see."""
+    if path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise _UsageError(f"cannot write --out {path}: it is a directory")
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise _UsageError(f"cannot write --out {path}: {parent} is not a "
+                          f"writable directory")
 
 
 @contextlib.contextmanager
@@ -118,6 +133,7 @@ def cli_main(argv=None) -> int:
         return 1
 
     try:
+        _check_out(args.out)
         if args.command == "fit":
             return _run_fit(args)
 

@@ -314,10 +314,10 @@ def _run_trials(cfg: ExperimentConfig, fld: ScalarField,
     seed, label) streams and records, for each k, the (quantity, value)
     pairs that `measure(data, ks)` returns for it, with the wall time of
     the whole trial, sampling included.  Each trial draws its own streams
-    and builds its own index, so on the usable CPUs (neighbors._map_on_cpus)
-    the trials give the records, or the first failure, of a serial loop;
-    the batch calls they make in the pool's workers run their chunks
-    serially.
+    and builds its own index, so run at once by the calling thread and one
+    helper thread per further usable CPU (neighbors._map_on_cpus) the
+    trials give the records, or the first failure, of a serial loop; the
+    batch calls a trial makes there run their chunks serially.
     """
     params = bound_params_for(cfg, fld)
     dim = cfg.manifold.d if cfg.manifold is not None else cfg.density.dim

@@ -74,17 +74,19 @@ _REL_SLACK = 1e-9
 _TIE_ENTRIES = 2 ** 14
 
 # Entries per batch chunk: a D >= 2 row counts its k+1 tree-query entries,
-# a D = 1 row one (its window holds a few scalars whatever k is).  A D >= 2
-# chunk keeps the tree's indices, 8 bytes per entry, once its gap test has
-# read the tree's distances; predict_batch adds one limb gather (8 bytes
-# per entry, near 1 MiB a chunk in all), and knn_radii the coordinates of
-# its gap rows' neighbors and their squared distances (8 * D + 8 bytes
-# per entry, near 2 MiB a chunk in D = 2), whatever k is.  The estimators'
-# 1-D bound pass (_sample_bounds) takes this many rows at a time.  A batch
-# call runs its chunks at once on the usable CPUs, or in a loop inside a
-# study's trial pool, so at most one chunk per usable CPU is live at once;
-# the chunk is kept small enough that those working sets add little to a
-# process's peak memory.
+# a D = 1 row one, though its window search and run hold some ten 8-byte
+# temporaries (near 80 bytes a row) whatever k is.  A D >= 2 chunk keeps
+# the tree's indices, 8 bytes per entry, once its gap test has read the
+# tree's distances; predict_batch adds one limb gather (8 bytes per entry,
+# near 1 MiB a chunk in all), and knn_radii the coordinates of its gap
+# rows' neighbors and their squared distances (8 * D + 8 bytes per entry,
+# near 2 MiB a chunk in D = 2), whatever k is.  The estimators' 1-D bound
+# pass (_sample_bounds) takes a sixteenth of this many rows at a time,
+# since each of its rows holds near 80 bytes of temporaries against 16 for
+# a D >= 2 entry.  A batch call runs its chunks at once on the usable
+# CPUs, or in a loop inside a study's trial pool, so at most one chunk per
+# usable CPU is live at once; the chunk is kept small enough that those
+# working sets add little to a process's peak memory.
 _CHUNK_ENTRIES = 2 ** 16
 
 # A batch call rounds its rows' means this many at a time, so that at most
@@ -470,7 +472,8 @@ def _tied_rows(index: SpatialIndex, qs: np.ndarray, r: np.ndarray, k: int,
     return radii if parts is None else (sums, counts)
 
 
-# Set in the threads of _map_on_cpus's pools, so that pools never nest.
+# Set on the caller and the helpers of a _map_on_cpus call while they run
+# its items, so that pools never nest.
 _in_pool = threading.local()
 
 
@@ -479,23 +482,56 @@ def _map_on_cpus(fn, items) -> list:
     affinity set where the platform reports one, else every CPU), since
     the tree queries and numpy's large kernels release the GIL.
 
-    A thread pool made for the call, one worker per CPU and at most one per
-    item, runs each item in a copy of the caller's context, so that its
-    np.errstate holds.  With one item or CPU, or inside a worker of such a
-    pool, it is a plain loop that starts no thread.  A failure raises as in
-    the loop, the first in item order; the items not yet started are
-    cancelled, and no worker outlives the call.
+    The calling thread is one of the workers: it starts one helper thread
+    per further CPU, at most one per further item, and the caller and the
+    helpers take the next item index from one counter under a lock.  Each
+    item runs in a copy of the caller's context, so that its np.errstate
+    holds.  With one item or CPU, or inside a worker of such a call, it is
+    a plain loop that starts no thread.  Once an item fails no further
+    index is handed out; the call joins every helper, so none outlives it,
+    and raises the failure of the smallest index, which is the loop's: each
+    smaller index was handed out before it.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     if len(items) <= 1 or cpus <= 1 or getattr(_in_pool, "worker", False):
         return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
     context = contextvars.copy_context()
-    with ThreadPoolExecutor(min(len(items), cpus), initializer=setattr,
-                            initargs=(_in_pool, "worker", True)) as pool:
-        return list(pool.map(lambda item: context.copy().run(fn, item),
-                             items))
+    results = [None] * len(items)
+    failures = {}
+    lock = threading.Lock()
+    handed = 0
+
+    def work():
+        nonlocal handed
+        _in_pool.worker = True
+        try:
+            while True:
+                with lock:
+                    if failures or handed == len(items):
+                        return
+                    i, handed = handed, handed + 1
+                try:
+                    results[i] = context.copy().run(fn, items[i])
+                except BaseException as e:
+                    with lock:
+                        failures[i] = e
+        finally:
+            _in_pool.worker = False
+
+    helpers = []
+    try:
+        for _ in range(min(len(items), cpus) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
@@ -530,9 +566,9 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     a D >= 2 predict_batch chunk's peak: the tree's indices and one limb
     gather), or of one row when k+1 alone exceeds that, and runs them at
     once on the usable CPUs (_map_on_cpus), or in a loop when called from
-    a pool worker such as a study's trial.  Each chunk writes its own rows,
-    and rows are settled independently, so neither chunks nor threads
-    change a bit.
+    a worker of another such call, such as a study's trial.  Each chunk
+    writes its own rows, and rows are settled independently, so neither
+    chunks nor threads change a bit.
     """
     ps = index.source
     Q = _check_queries(queries, ps.dim)
@@ -641,31 +677,34 @@ def _sample_bounds(index: SpatialIndex, y: np.ndarray, k: int):
     approx -+ err (at most X / 2 + u err), and 2**-1000 the subnormals.
     A row with a non-finite err (an overflowed sum) gets (-inf, inf).
 
-    The prefix sums, the window midpoints and both bounds are whole arrays;
-    the runs and the bounds' temporaries take _CHUNK_ENTRIES rows at a
-    time, so the pass peaks near 40 bytes a point however large n is, and
-    rows are independent, so the chunks change no bit.
+    The prefix sums, the window midpoints, both bounds and, while they are
+    summed, the observations in sorted order are whole arrays, 8 bytes a
+    point each; the runs and the bounds' temporaries, near 80 bytes a row,
+    take _CHUNK_ENTRIES // 16 rows (about 0.3 MiB) at a time, so the pass
+    peaks near 40 bytes a point for a large n, and rows are independent,
+    so the chunks change no bit.
     """
     order, xs = index._order, index._xs
     if order is None:
         p = _batch(index, index.source.points, k, y)
         return p, p
     n, u = xs.shape[0], 2.0 ** -53
+    step = _CHUNK_ENTRIES // 16
     mids = 0.5 * xs[:n - k] + 0.5 * xs[k:]
     prefix, lower, upper = np.zeros(n + 1), np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(y[order], out=prefix[1:])
         g = n * u / (1 - n * u)
         gT2 = 2 * g * np.abs(y).sum()
-        for i in range(0, n, _CHUNK_ENTRIES):
-            q = xs[i:i + _CHUNK_ENTRIES]
+        for i in range(0, n, step):
+            q = xs[i:i + step]
             lo, hi, _ = _runs(xs, q, k, np.searchsorted(mids, q))
             s, m = prefix[hi] - prefix[lo], hi - lo
             approx = s / m
             err = 2 * ((gT2 + u * np.abs(s)) / m +
                        2 * u * np.abs(approx)) + 2.0 ** -1000
             known = np.isfinite(err)
-            rows = order[i:i + _CHUNK_ENTRIES]
+            rows = order[i:i + step]
             lower[rows] = np.where(known, approx - err, -np.inf)
             upper[rows] = np.where(known, approx + err, np.inf)
     return lower, upper

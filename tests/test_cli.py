@@ -188,16 +188,28 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["regress", "fit"])
     def test_unwritable_out_exit_1(self, config_path, tmp_path, capsys,
-                                   command):
-        # An --out that names a directory is bad usage, named in the error.
+                                   monkeypatch, command):
+        # An --out that names a directory, or a file whose parent is missing
+        # or is a file, is bad usage, named in the error, and found before
+        # the study runs or fit reads its records.
+        import knnrates.cli as climod
+
         records = tmp_path / "r.csv"
         assert cli_main(["regress", "--config", str(config_path), "--out",
                          str(records), "--quiet"]) == 0
+
+        def never(*args):
+            raise AssertionError("ran before --out was checked")
+
+        monkeypatch.setattr(climod, "run_experiment", never)
+        monkeypatch.setattr(climod, "read_records", never)
         args = (["fit", str(records)] if command == "fit" else
                 ["regress", "--config", str(config_path)])
-        assert cli_main([*args, "--out", str(tmp_path), "--quiet"]) == 1
-        err = capsys.readouterr().err
-        assert str(tmp_path) in err and "runtime failure" not in err
+        for out in (tmp_path, tmp_path / "missing" / "r.csv",
+                    records / "r.csv"):
+            assert cli_main([*args, "--out", str(out), "--quiet"]) == 1
+            err = capsys.readouterr().err
+            assert str(out) in err and "runtime failure" not in err
 
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0
@@ -474,9 +486,9 @@ class TestRunAllScript:
 
 class TestScipyOnlyForTrees:
     """A fresh interpreter, since pytest's may already hold scipy: the
-    package (which loads no `concurrent.futures` either), a 1-D study and
-    a 2-D setcount study load no scipy module,
-    and the first D >= 2 index loads it and answers as the oracle does."""
+    package, a 1-D study and a 2-D setcount study load no scipy module and
+    no `concurrent.futures`, and the first D >= 2 index loads scipy and
+    answers as the oracle does."""
 
     SCRIPT = """\
 import sys
@@ -490,7 +502,6 @@ import knnrates
 from knnrates.cli import cli_main
 
 assert not scipy_modules(), scipy_modules()
-# Nor the trial pool's module, which loads with the first pool.
 assert "concurrent.futures" not in sys.modules
 assert cli_main(["levelset", "--config", sys.argv[1], "--out", sys.argv[2],
                  "--quiet"]) == 0
@@ -499,6 +510,8 @@ assert not scipy_modules(), scipy_modules()
 assert cli_main(["setcount", "--config", sys.argv[3], "--out", sys.argv[4],
                  "--quiet"]) == 0
 assert not scipy_modules(), scipy_modules()
+# Its six trials run at once on two or more usable CPUs.
+assert "concurrent.futures" not in sys.modules
 
 import numpy as np
 

@@ -815,6 +815,31 @@ class TestParallelTrials:
         assert errors[0] == errors[1] == (
             RuntimeError, f"trial n={first[0]} seed=1 failed")
 
+    def test_failure_while_another_item_runs(self, force_cpus):
+        # Item 0 fails at once while the other worker sleeps in item 1: no
+        # index is handed out after the failure, the call raises item 0's
+        # error once item 1 is done, and no thread outlives it.
+        import threading
+        import time
+
+        from knnrates.neighbors import _map_on_cpus
+
+        called = []
+
+        def item(i):
+            called.append(i)
+            if i == 0:
+                raise RuntimeError("item 0 failed")
+            time.sleep(0.05)
+            return i
+
+        force_cpus(2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="item 0 failed"):
+            _map_on_cpus(item, range(8))
+        assert threading.active_count() == before
+        assert 0 in called and len(called) <= 2
+
     def test_one_trial_starts_no_thread(self, force_cpus, thread_starts):
         from knnrates import run_experiment
 
@@ -826,9 +851,10 @@ class TestParallelTrials:
 
     def test_usable_cpus(self, monkeypatch, force_cpus, thread_starts):
         # One worker per CPU of the affinity set where the platform has one,
-        # else of the machine, and a plain loop when even that is unknown.
-        # Each item sleeps, so that no worker is idle while items are
-        # handed out and every worker starts.
+        # else of the machine, and a plain loop when even that is unknown;
+        # the caller is one of the workers, so one helper thread starts
+        # per further CPU.  Each item sleeps, so that no worker is idle
+        # while items are handed out and every worker starts.
         import os
         import time
 
@@ -838,7 +864,7 @@ class TestParallelTrials:
             time.sleep(0.01)
             return x * x
 
-        for cpus, want in ((3, 3), (5, 5), (None, 0)):
+        for cpus, want in ((3, 2), (5, 4), (None, 0)):
             if cpus == 3:
                 force_cpus(3)
             else:
@@ -856,10 +882,9 @@ class TestParallelTrials:
         # 5.3 MiB with 2^17 entries, 8.4-8.6 MiB with 2^20 (one chunk of all
         # 512 rows), and 4.4-5.3 MiB when a chunk also kept its tree
         # distances and a copy of its member indices.  Six trials give the
-        # two workers' chunks many chances to overlap.  scipy's kd-tree and
-        # the pool's executor are imported before tracing starts, so the
-        # peak is the trials' own whatever tests ran before.
-        import concurrent.futures  # noqa: F401
+        # two workers' chunks many chances to overlap.  scipy's kd-tree is
+        # imported before tracing starts, so the peak is the trials' own
+        # whatever tests ran before.
         import tracemalloc
 
         from scipy.spatial import cKDTree  # noqa: F401

@@ -611,14 +611,15 @@ class TestParallelBatch:
         Q = rng.random((cap + 1, dim))
         got = predict_batch(reg, Q)
         assert chunk_calls == [range(0, cap + 1, cap // 2 + 1)]
-        assert len(thread_starts) == 2
+        # The caller runs one chunk, and one helper the other.
+        assert len(thread_starts) == 1
         force_cpus(1)
         assert np.array_equal(bits(predict_batch(reg, Q)), bits(got))
 
     def test_study_pools_never_nest(self, monkeypatch, force_cpus,
                                     thread_starts, chunk_calls):
         # Four manifold trials on two CPUs, each of whose batch calls spans
-        # several chunks: only the trial pool's two workers start.
+        # several chunks: only the trial pool's one helper starts.
         from knnrates import build_config, records_to_csv, run_experiment
 
         monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", 2 ** 8)
@@ -635,7 +636,7 @@ class TestParallelBatch:
         force_cpus(2)
         del thread_starts[:], chunk_calls[:]
         assert records_to_csv(run_experiment(cfg)) == serial
-        assert len(thread_starts) == 2
+        assert len(thread_starts) == 1
         assert len(chunk_calls) >= 4
         assert all(len(items) > 1 for items in chunk_calls)
 

@@ -156,12 +156,13 @@ class TestFilteredEstimators:
         assert 1 <= rows[-1] and sum(rows) < 40
 
     def test_bound_pass_in_chunks(self, monkeypatch):
-        # n = 2^18 sample points in chunks of 3,000 rows, the last one
-        # short.  The pass keeps the prefix sums, the window midpoints, both
-        # bounds and, while it sums them, the observations in sorted order,
-        # 8 bytes a point each: a traced 10.0 MiB with numpy 2.4, against
-        # 24.3 MiB when its runs and bounds took every row at once.  The
-        # chunked bounds are the one-chunk bounds bit for bit.
+        # n = 2^18 sample points in the default chunks of 4,096 rows.  The
+        # pass keeps the prefix sums, the window midpoints, both bounds
+        # and, while it sums them, the observations in sorted order, 8
+        # bytes a point each: a traced 10.0 MiB with numpy 2.4, against
+        # 15.2 MiB with chunks of 2^16 rows and 24.3 MiB when its runs and
+        # bounds took every row at once.  The chunked bounds are the
+        # one-chunk bounds bit for bit.
         import tracemalloc
 
         rng = np.random.default_rng(71)
@@ -169,9 +170,9 @@ class TestFilteredEstimators:
         x = rng.random(n)
         y = np.sin(6 * x) + rng.standard_normal(n)
         reg = make_regressor(data1d(x, y), 500)
-        monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", n)
-        whole = structures._sample_bounds(reg.index, y, 500)
-        monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", 3000)
+        with monkeypatch.context() as patch:
+            patch.setattr(neighbors, "_CHUNK_ENTRIES", 16 * n)
+            whole = structures._sample_bounds(reg.index, y, 500)
         tracemalloc.start()
         try:
             chunked = structures._sample_bounds(reg.index, y, 500)
