@@ -126,6 +126,9 @@ class ExperimentConfig:
             raise ConfigError("ladder.n: rungs must be strictly increasing")
         if ladder[0] < 1:
             raise ConfigError("ladder.n: rungs must be >= 1")
+        if ladder[0] < 2 and self.kind != "setcount":
+            raise ConfigError(f"ladder.n: rungs must be >= 2 for {self.kind} "
+                              "experiments, whose bounds need n >= 2")
         object.__setattr__(self, "n_ladder", ladder)
         if any(k < 1 for k in self.k_values):
             raise ConfigError("k.values: entries must be >= 1")

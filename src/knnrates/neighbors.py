@@ -39,13 +39,14 @@ The mean of observations over a neighbor set (`predict_batch`, and
 divided by the member count, rounded once, so it does not depend on the
 order of the members.  The exact sums come from int64 limbs of the
 observations (`_limbs`); in D = 1 a row's sum is the difference of two
-prefix sums over the sorted order, taken over the span of the batch's
+prefix sums over the sorted order, taken over the span of its chunk's
 runs alone, so no row is gathered or sorted.  Every path rounds in one
 place (`_means`): a row's sum is rebuilt as a Python int and divided by
 its count with int / int, for one scalar mean and for a batch's rows
-alike.  The estimators at the sample points start from float means with
-a proven error bound (`_sample_bounds`) and round only the rows it
-leaves undecided.
+alike; each batch chunk rounds its own rows, at most 4,096 of them, as
+a row counts at least 16 entries (`_chunks`).  The estimators at the
+sample points start from float means with a proven error bound
+(`_sample_bounds`) and round only the rows it leaves undecided.
 """
 
 from __future__ import annotations
@@ -73,27 +74,19 @@ _REL_SLACK = 1e-9
 # memory of a batch call.
 _TIE_ENTRIES = 2 ** 14
 
-# Entries per batch chunk: a D >= 2 row counts its k+1 tree-query entries,
-# a D = 1 row one, though its window search and run hold some ten 8-byte
-# temporaries (near 80 bytes a row) whatever k is.  A D >= 2 chunk keeps
-# the tree's indices, 8 bytes per entry, once its gap test has read the
-# tree's distances; predict_batch adds one limb gather (8 bytes per entry,
-# near 1 MiB a chunk in all), and knn_radii the coordinates of its gap
-# rows' neighbors and their squared distances (8 * D + 8 bytes per entry,
-# near 2 MiB a chunk in D = 2), whatever k is.  The estimators' 1-D bound
-# pass (_sample_bounds) takes a sixteenth of this many rows at a time,
-# since each of its rows holds near 80 bytes of temporaries against 16 for
-# a D >= 2 entry.  A batch call runs its chunks at once on the usable
-# CPUs, or in a loop inside a study's trial pool, so at most one chunk per
-# usable CPU is live at once; the chunk is kept small enough that those
-# working sets add little to a process's peak memory.
+# Entries per chunk of a batch call or of the 1-D bound pass (_chunks).  A
+# D >= 2 row counts its k+1 tree-query entries, a D = 1 row one, and every
+# row at least 16: whatever k is, a 1-D row's search, run and bounds hold
+# near 80 bytes of temporaries, and a row's exact sum and mean as Python
+# ints near 210 bytes, so a chunk's 4,096 rows at most hold under 1 MiB.
+# A D >= 2 chunk keeps the tree's indices, 8 bytes per entry, once its gap
+# test has read the tree's distances; predict_batch adds one limb gather
+# (8 bytes per entry, near 1 MiB a chunk in all), and knn_radii the
+# coordinates of its gap rows' neighbors and their squared distances
+# (8 * D + 8 bytes per entry, near 2 MiB a chunk in D = 2).  At most one
+# chunk per usable CPU is live at once (_map_on_cpus), so those working
+# sets add little to a process's peak memory.
 _CHUNK_ENTRIES = 2 ** 16
-
-# A batch call rounds its rows' means this many at a time, so that at most
-# this many rows' exact sums and means are alive as Python objects: near
-# 210 bytes a row with two limbs, about 3.3 MiB a block, however many
-# rows the call has.
-_MEAN_ROWS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -534,41 +527,45 @@ def _map_on_cpus(fn, items) -> list:
     return results
 
 
+def _chunks(rows: int, entries: int) -> range:
+    """The first row of each chunk of a pass over `rows` rows of `entries`
+    entries each; the range's step is the chunk's size.  A row counts at
+    least 16 entries, and the pass takes the fewest chunks of at most
+    _CHUNK_ENTRIES entries (or of one row), of balanced sizes."""
+    cap = max(1, _CHUNK_ENTRIES // max(16, entries))
+    return range(0, rows, -(-rows // -(-rows // cap)) if rows else 1)
+
+
 def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     """The chunked kernel under knn_radii (y None) and predict_batch (the
-    mean of y over each row's neighbor set).
+    mean of y over each row's neighbor set), in one phase: the chunks of
+    _chunks (one entry per D = 1 row, k+1 per D >= 2 row) run at once on
+    the usable CPUs (_map_on_cpus), or in a loop inside a worker of another
+    such call, and each writes its rows' final values, a predict_batch
+    chunk rounding its own rows' sums with _means, the rounding of a
+    scalar predict.  Rows are settled independently, so neither chunks nor
+    threads change a bit.
 
-    In D = 1 each row's window start comes from one search of the queries
-    over the midpoints 0.5 * xs[j] + 0.5 * xs[j+k] (a form that cannot
-    overflow), made per call; _windows certifies each start with its exact
-    test, and only the rows it fails binary-search.  Every row's squared
-    radius is its window's r2, a fast row's members are its window, and
-    any other row's members are the run _widen finds, an infinite r2
-    included.  Once every row has its run, the limbs of the observations
-    over the span of the call's runs alone, and their prefix sums, give
-    each row's limb sums as the differences at the ends of its run, so a
-    call of few rows reads few observations.  In D >= 2 each chunk takes
-    one k+1 tree query and drops its distances once the gap test has read
+    In D = 1 the call sorts its queries once and each chunk is a slice of
+    that order.  A row's window start comes from one search over the
+    midpoints 0.5 * xs[j] + 0.5 * xs[j+k] (a form that cannot overflow);
+    _windows certifies each start with its exact test, and only the rows
+    it fails binary-search.  Every row's squared radius is its window's
+    r2, a fast row's members are its window, and any other row's members
+    are the run _widen finds, an infinite r2 included.  A chunk's limbs of
+    the observations over the span of its own runs, and their prefix sums,
+    give each row's limb sums as the differences at the ends of its run;
+    sorted chunks span little, so a call reads each observation about once.
+
+    In D >= 2 the call takes the limbs of y once, and each chunk takes one
+    k+1 tree query and drops its distances once the gap test has read
     them.  A row with a clear distance gap after the k-th neighbor has its
     k tree neighbors as its whole set (a view of the tree's indices when
     every row of the chunk has the gap): its radius is the max exact
     distance over them, and its limb sums are theirs, summed one limb at a
-    time into the call's array.  The other rows with a finite tree k-th
-    distance are settled together by _tied_rows, and only rows whose tree
-    k-th distance is not finite (it bounds no candidate set) take
-    knn_query; every row's limb sums and member count go into one
-    (limbs, rows) array for the call.
-    _means rounds the rows' sums as Python ints, _MEAN_ROWS rows at a time
-    (once for most calls), the rounding of a scalar predict, so every row
-    gets the bits of a scalar loop.  A call splits its rows evenly among
-    the fewest chunks of at most _CHUNK_ENTRIES (2^16) entries, one per
-    D = 1 row and k+1 per D >= 2 row (16 bytes per entry, about 1 MiB, at
-    a D >= 2 predict_batch chunk's peak: the tree's indices and one limb
-    gather), or of one row when k+1 alone exceeds that, and runs them at
-    once on the usable CPUs (_map_on_cpus), or in a loop when called from
-    a worker of another such call, such as a study's trial.  Each chunk
-    writes its own rows, and rows are settled independently, so neither
-    chunks nor threads change a bit.
+    time.  The other rows with a finite tree k-th distance are settled
+    together by _tied_rows, and only rows whose tree k-th distance is not
+    finite (it bounds no candidate set) take knn_query.
     """
     ps = index.source
     Q = _check_queries(queries, ps.dim)
@@ -576,38 +573,43 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
     order, xs = index._order, index._xs
     out = np.empty(Q.shape[0], dtype=np.float64)
     if order is not None:
-        cap = _CHUNK_ENTRIES
         mids = 0.5 * xs[:ps.n - k] + 0.5 * xs[k:]
-        if y is not None:
-            run_lo = np.empty(Q.shape[0], dtype=np.intp)
-            run_hi = np.empty(Q.shape[0], dtype=np.intp)
+        # searchsorted runs several times faster over sorted keys.
+        by = np.argsort(Q[:, 0])
+        chunks = _chunks(Q.shape[0], 1)
     else:
-        cap = max(1, _CHUNK_ENTRIES // (k + 1))
         if y is not None:
             parts, bits, e = _limbs(y)
-            sums = np.empty((parts.shape[0], Q.shape[0]), dtype=np.int64)
-            counts = np.empty(Q.shape[0], dtype=np.int64)
-    chunks = -(-Q.shape[0] // cap)
-    rows = -(-Q.shape[0] // chunks) if chunks else 1
+        chunks = _chunks(Q.shape[0], k + 1)
+    rows = chunks.step
 
-    def chunk(lo):
-        qc = Q[lo:lo + rows]
-        if order is not None:
-            qx = qc[:, 0]
-            # searchsorted runs several times faster over sorted keys.
-            by = np.argsort(qx)
-            start = np.empty_like(by)
-            start[by] = np.searchsorted(mids, qx[by])
-            if y is None:
-                out[lo:lo + rows] = np.sqrt(_windows(xs, qx, k, start)[1])
-            else:
-                run_lo[lo:lo + rows], run_hi[lo:lo + rows], _ = _runs(
-                    xs, qx, k, start)
-            return
+    def line(i):
+        into = by[i:i + rows]
+        qx = Q[into, 0]
+        start = np.searchsorted(mids, qx)
         if y is None:
-            block = out[lo:lo + rows]
+            out[into] = np.sqrt(_windows(xs, qx, k, start)[1])
+            return
+        lo, hi, _ = _runs(xs, qx, k, start)
+        # Only the span of the chunk's runs, from a, is read: its limbs, in
+        # sorted order, and their prefix sums, since a correctly rounded
+        # mean does not depend on the limbs' scale.
+        a = int(lo.min())
+        lo -= a
+        hi -= a
+        span, bits, e = _limbs(y[order[a:a + int(hi.max())]])
+        prefix = np.zeros((span.shape[0], span.shape[1] + 1), dtype=np.int64)
+        np.cumsum(span, axis=1, out=prefix[:, 1:])
+        del span
+        out[into] = _means(prefix[:, hi] - prefix[:, lo], hi - lo, bits, e)
+
+    def tree(i):
+        qc = Q[i:i + rows]
+        if y is None:
+            block = out[i:i + rows]
         else:
-            block_s, block_n = sums[:, lo:lo + rows], counts[lo:lo + rows]
+            sums = np.empty((parts.shape[0], qc.shape[0]), dtype=np.int64)
+            counts = np.empty(qc.shape[0], dtype=np.int64)
         d, idx = index._tree.query(qc, k=k + 1)
         # Only the gap test reads the distances; they go before the gathers.
         dk = d[:, k - 1].copy()
@@ -619,8 +621,8 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
             block[fast] = np.sqrt(d2.max(axis=1))
         else:
             for limb, part in enumerate(parts):
-                block_s[limb, fast] = part[members].sum(axis=1)
-            block_n[fast] = k
+                sums[limb, fast] = part[members].sum(axis=1)
+            counts[fast] = k
         tied = np.flatnonzero(~fast & np.isfinite(dk))
         if tied.size:
             got = _tied_rows(index, qc[tied], dk[tied] * (1.0 + _REL_SLACK),
@@ -628,36 +630,18 @@ def _batch(index: SpatialIndex, queries, k: int, y=None) -> np.ndarray:
             if y is None:
                 block[tied] = got
             else:
-                block_s[:, tied], block_n[tied] = got
+                sums[:, tied], counts[tied] = got
         for row in np.flatnonzero(~fast & ~np.isfinite(dk)):
             ns = knn_query(index, qc[row], k)
             if y is None:
                 block[row] = ns.radius
             else:
-                block_s[:, row] = parts[:, ns.member_indices].sum(axis=1)
-                block_n[row] = ns.count
+                sums[:, row] = parts[:, ns.member_indices].sum(axis=1)
+                counts[row] = ns.count
+        if y is not None:
+            out[i:i + rows] = _means(sums, counts, bits, e)
 
-    _map_on_cpus(chunk, range(0, Q.shape[0], rows))
-    if y is None:
-        return out
-    if order is not None:
-        # Only the span [a, b) of the rows' runs is read: its limbs, in
-        # sorted order, and their prefix sums, since a correctly rounded
-        # mean does not depend on the limbs' scale.
-        a = int(run_lo.min(initial=ps.n))
-        b = int(run_hi.max(initial=a))
-        parts, bits, e = _limbs(y[order[a:b]])
-        prefix = np.zeros((parts.shape[0], b - a + 1), dtype=np.int64)
-        np.cumsum(parts, axis=1, out=prefix[:, 1:])
-        del parts
-    for i in range(0, Q.shape[0], _MEAN_ROWS):
-        block = slice(i, i + _MEAN_ROWS)
-        if order is None:
-            out[block] = _means(sums[:, block], counts[block], bits, e)
-        else:
-            lo, hi = run_lo[block] - a, run_hi[block] - a
-            out[block] = _means(prefix[:, hi] - prefix[:, lo], hi - lo,
-                                bits, e)
+    _map_on_cpus(line if order is not None else tree, chunks)
     return out
 
 
@@ -680,23 +664,24 @@ def _sample_bounds(index: SpatialIndex, y: np.ndarray, k: int):
     The prefix sums, the window midpoints, both bounds and, while they are
     summed, the observations in sorted order are whole arrays, 8 bytes a
     point each; the runs and the bounds' temporaries, near 80 bytes a row,
-    take _CHUNK_ENTRIES // 16 rows (about 0.3 MiB) at a time, so the pass
-    peaks near 40 bytes a point for a large n, and rows are independent,
-    so the chunks change no bit.
+    take the chunks of _chunks (at most 4,096 rows, about 0.3 MiB) one at
+    a time, so the pass peaks near 40 bytes a point for a large n, and rows
+    are independent, so the chunks change no bit.
     """
     order, xs = index._order, index._xs
     if order is None:
         p = _batch(index, index.source.points, k, y)
         return p, p
     n, u = xs.shape[0], 2.0 ** -53
-    step = _CHUNK_ENTRIES // 16
+    chunks = _chunks(n, 1)
+    step = chunks.step
     mids = 0.5 * xs[:n - k] + 0.5 * xs[k:]
     prefix, lower, upper = np.zeros(n + 1), np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(y[order], out=prefix[1:])
         g = n * u / (1 - n * u)
         gT2 = 2 * g * np.abs(y).sum()
-        for i in range(0, n, step):
+        for i in chunks:
             q = xs[i:i + step]
             lo, hi, _ = _runs(xs, q, k, np.searchsorted(mids, q))
             s, m = prefix[hi] - prefix[lo], hi - lo

@@ -172,6 +172,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "k.values" in err and "runtime failure" not in err
 
+    @pytest.mark.parametrize("command, name", [
+        ("regress", "holder_rate"), ("levelset", "levelset_rate"),
+        ("coverage", "coverage"), ("maxima", "maxima_rate")])
+    def test_rung_of_one_exit_1(self, tmp_path, capsys, monkeypatch,
+                                command, name):
+        # A field study's bounds need n >= 2: a rung of 1 is bad input,
+        # named by its key before any trial runs, not a runtime failure.
+        import pathlib
+        import re
+
+        import knnrates.cli as climod
+
+        def never(cfg):
+            raise AssertionError("ran a study with a rung of 1")
+
+        monkeypatch.setattr(climod, "run_experiment", never)
+        canned = (pathlib.Path(__file__).resolve().parent.parent / "scripts"
+                  / "configs" / f"{name}.cfg").read_text()
+        cfg = tmp_path / "rung-1.cfg"
+        cfg.write_text(re.sub(r"(?m)^ladder\.n = .*$",
+                              "ladder.n = 1, 512, 1024, 2048", canned))
+        assert cli_main([command, "--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "ladder.n" in err and "runtime failure" not in err
+
     @pytest.mark.parametrize("seed, code", [
         ("-1", 1), (str(2 ** 64), 1), (str(2 ** 64 - 1), 0)],
         ids=["-1", "2^64", "2^64-1"])

@@ -719,6 +719,19 @@ def test_one_index_per_trial(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", STUDY_KINDS)
+def test_rung_of_one_only_in_setcount(name):
+    # Every bound and level_set_epsilon need n >= 2, so a field study's
+    # rung of 1 is a config error on its key; setcount counts sets at n = 1.
+    pairs = {**study_pairs(name, "1"), "ladder.n": "1, 512"}
+    if name == "setcount":
+        assert build_config(pairs).n_ladder == (1, 512)
+    else:
+        with pytest.raises(ConfigError, match="^ladder.n: rungs must be "
+                           ">= 2"):
+            build_config(pairs)
+
+
+@pytest.mark.parametrize("name", STUDY_KINDS)
 def test_k_values_above_every_rung_rejected(name):
     # No rung would have a trial: a coverage study would divide by zero
     # rows and the others would write a header alone.

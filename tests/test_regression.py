@@ -188,7 +188,10 @@ class TestBatchAgreement:
             tied.append(qs)
             return real(index, qs, *args)
 
-        with mock.patch.object(neighbors, "_CHUNK_ENTRIES", 8 * (k + 1)), \
+        # A row counts max(16, k + 1) entries, so chunks of this many hold
+        # eight rows.
+        with mock.patch.object(neighbors, "_CHUNK_ENTRIES",
+                               8 * max(16, k + 1)), \
                 mock.patch.object(neighbors, "_tied_rows", spy):
             assert_batch_equals_scalar(reg, Q)
         assert len(tied) == 2
@@ -265,9 +268,10 @@ class TestBatchAgreement1D:
         assert hausdorff_distance(X, Q) == hausdorff_distance_bruteforce(X, Q)
 
     def test_chunks_equal_scalar_bitwise(self, monkeypatch):
-        # Chunks of 7 rows: the 200 queries span 29 chunks, the last one
-        # short, and tied rows fall in several of them.
-        monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", 7)
+        # Chunks of 7 rows (a row counts 16 entries): the 200 queries span
+        # 29 chunks, the last one short, and tied rows fall in several of
+        # them.
+        monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", 7 * 16)
         rng = np.random.default_rng(41)
         X = rng.integers(0, 40, size=(300, 1)).astype(float)
         Q = np.vstack([X[:100], rng.uniform(-5.0, 45.0, (100, 1))])
@@ -314,10 +318,10 @@ class TestBatchAgreement1D:
                                   bits([predict(reg, q) for q in Q]))
 
     def test_many_rows_peak_bounded(self):
-        # 2^16 rows over 2^16 points: the runs' end points and the span's
-        # limb prefix sums, rounded _MEAN_ROWS rows at a time.  A batch that
-        # took the limbs of all n observations and held every row's limb
-        # sums peaked at 7.6 MiB on this input (numpy 2.4).
+        # 2^16 rows over 2^16 points, in chunks of 4096 rows that each
+        # round their own rows over the limb prefix sums of their own span.
+        # A batch that took the limbs of all n observations and held every
+        # row's limb sums peaked at 7.6 MiB on this input (numpy 2.4).
         import tracemalloc
 
         rng = np.random.default_rng(59)
@@ -360,6 +364,69 @@ class TestBatchAgreement1D:
                                       bits(radii))
                 assert np.array_equal(bits(predict_batch(reg, Q)),
                                       bits([predict(reg, q) for q in Q]))
+
+
+class TestChunkRounding:
+    """Each batch chunk rounds its own rows: no _means call takes more
+    than one chunk's rows, and a D = 1 chunk, a slice of the call's sorted
+    queries, reads the observations over its own narrow span."""
+
+    @pytest.mark.parametrize("dim, k, rows", [(1, 64, 2 ** 16),
+                                              (2, 1, 40_000)])
+    def test_no_means_call_rounds_more_than_a_chunk(self, monkeypatch, dim,
+                                                    k, rows):
+        # A row counts at least 16 entries, so a chunk holds at most
+        # 2^16 // 16 = 4096 rows, in D = 1 and at a small D >= 2 k alike.
+        real, sizes = neighbors._means, []
+
+        def spy(sums, *args):
+            sizes.append(sums.shape[1])
+            return real(sums, *args)
+
+        monkeypatch.setattr(neighbors, "_means", spy)
+        rng = np.random.default_rng(67)
+        reg = make_regressor(Dataset(PointSet(rng.random((4096, dim))),
+                                     rng.standard_normal(4096)), k)
+        Q = rng.random((rows, dim))
+        out = predict_batch(reg, Q)
+        assert sum(sizes) == rows
+        assert max(sizes) <= neighbors._CHUNK_ENTRIES // 16
+        monkeypatch.setattr(neighbors, "_means", real)
+        for q, got in zip(Q[::4001], out[::4001]):
+            assert bits(got) == bits(predict(reg, q))
+
+    @pytest.mark.parametrize("k", [1, 9, 60])
+    def test_sorted_chunks_read_each_observation_about_once(self,
+                                                            monkeypatch, k):
+        # 3000 shuffled queries over 6000 integer points with up to a few
+        # dozen copies each, in chunks of 100 rows.  A chunk's runs start
+        # at most one tied run left of its first row's window and end at
+        # most one right of its last row's, and the windows of the call's
+        # sorted rows move right only, so the chunks pass _limbs at most
+        # n + chunks * (k + 2 * run) observations in all, run the longest
+        # run of equal points.  Chunks of unsorted rows would each span
+        # nearly all n.
+        real, sizes = neighbors._limbs, []
+
+        def recorder(values):
+            sizes.append(values.size)
+            return real(values)
+
+        monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", 100 * 16)
+        monkeypatch.setattr(neighbors, "_limbs", recorder)
+        rng = np.random.default_rng(73)
+        x = rng.integers(0, 300, 6000).astype(float)
+        reg = make_regressor(data1d(x, rng.standard_normal(6000)), k)
+        Q = rng.permutation(np.concatenate([x[:2000],
+                                            rng.uniform(-5, 305, 1000)]))
+        out = predict_batch(reg, Q)
+        chunks = len(neighbors._chunks(len(Q), 1))
+        run = np.unique(x, return_counts=True)[1].max()
+        assert chunks == 30 and len(sizes) == chunks
+        assert sum(sizes) <= len(x) + chunks * (k + 2 * run)
+        monkeypatch.setattr(neighbors, "_limbs", real)
+        for q, got in zip(Q[::97], out[::97]):
+            assert bits(got) == bits(predict(reg, [q]))
 
 
 def tie_data():
@@ -556,9 +623,9 @@ class TestParallelBatch:
     def test_every_cpu_count_gives_scalar_bits(self, case, monkeypatch,
                                                 force_cpus, thread_starts,
                                                 chunk_calls):
-        # Chunks of 64 tree entries hold 8 rows at k = 7, so every call
-        # spans several chunks; eight workers switch threads as often as
-        # the interpreter allows.
+        # Chunks of 64 entries hold 4 rows (a row counts at least 16
+        # entries), so every call spans many chunks; eight workers switch
+        # threads as often as the interpreter allows.
         import sys
 
         kind, dim = case.split("-")
@@ -587,7 +654,7 @@ class TestParallelBatch:
             finally:
                 sys.setswitchinterval(interval)
             assert [len(items) for items in chunk_calls] == \
-                [-(-len(Q) // 8)] * 2
+                [-(-len(Q) // 4)] * 2
             assert bool(thread_starts) == (cpus > 1)
             assert np.array_equal(bits(got[0]), want[0])
             assert np.array_equal(bits(got[1]), want[1])
@@ -596,12 +663,13 @@ class TestParallelBatch:
     def test_one_chunk_or_none_starts_no_thread(self, dim, force_cpus,
                                                 thread_starts, chunk_calls):
         # At k = 16 a D = 2 chunk holds 2^16 // 17 = 3855 rows, a D = 1
-        # chunk 2^16; one row more makes two chunks of balanced sizes.
+        # chunk 2^16 // 16 = 4096 (a row counts at least 16 entries); one
+        # row more makes two chunks of balanced sizes.
         force_cpus(2)
         rng = np.random.default_rng(59)
         reg = make_regressor(Dataset(PointSet(rng.random((500, dim))),
                                      rng.standard_normal(500)), 16)
-        cap = 3855 if dim == 2 else 2 ** 16
+        cap = 3855 if dim == 2 else 2 ** 12
         for rows in (0, 1, cap):
             Q = rng.random((rows, dim))
             got = predict_batch(reg, Q), knn_radii(reg.index, Q, 16)
@@ -667,9 +735,10 @@ class TestParallelBatch:
         assert errors[1] == errors[2] == errors[0]
 
     def test_caller_errstate_holds_in_workers(self, monkeypatch, force_cpus):
-        # Squared distances overflow in every chunk of this 1-D call: the
-        # caller's np.errstate decides what that does on every thread.
-        monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", 16)
+        # Squared distances overflow in every chunk of 16 rows of this 1-D
+        # call: the caller's np.errstate decides what that does on every
+        # thread.
+        monkeypatch.setattr(neighbors, "_CHUNK_ENTRIES", 16 * 16)
         xs = np.ldexp(np.arange(-40.0, 40.0), 1000)
         reg = make_regressor(data1d(xs, np.ones(80)), 3)
         for cpus in (1, 2):
