@@ -24,7 +24,7 @@ from .structures import (count_distinct_knn_sets, estimate_level_set,
 from .synth import (DensitySpec, ManifoldSample, ManifoldSpec, NoiseSpec,
                     embed_manifold, embed_points, halton_probes, make_field,
                     manifold_field, manifold_probe_grid, sample_noise,
-                    sample_points, stream_seed, to_intrinsic,
-                    truncated_mixture, uniform_box, uniform_grid)
+                    sample_points, stream_seed, to_intrinsic, uniform_box,
+                    uniform_grid)
 
 __version__ = "0.1.0"

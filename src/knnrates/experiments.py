@@ -29,8 +29,7 @@ from .structures import (count_distinct_knn_sets, estimate_level_set,
 from .synth import (DensitySpec, ManifoldSpec, NoiseSpec, embed_manifold,
                     halton_probes, make_field, manifold_field,
                     manifold_probe_grid, sample_noise, sample_points,
-                    stream_seed, support_box, truncated_mixture, uniform_box,
-                    uniform_grid)
+                    stream_seed, support_box, uniform_box, uniform_grid)
 
 
 class ConfigError(ValueError):
@@ -697,16 +696,10 @@ def _density_from(pairs) -> Optional[DensitySpec]:
     kind = _get(pairs, "density.kind", str)
     if kind is None:
         return None
-    if kind not in ("uniform-box", "truncated-mixture"):
+    if kind != "uniform-box":
         raise ConfigError(f"density.kind: unknown kind {kind!r}")
-    low = _get(pairs, "density.low", _floats, required=True)
-    high = _get(pairs, "density.high", _floats, required=True)
-    if kind == "uniform-box":
-        return uniform_box(low, high)
-    return truncated_mixture(
-        low, high, _get(pairs, "density.bump_center", _floats, required=True),
-        _get(pairs, "density.bump_sigma", float, required=True),
-        _get(pairs, "density.bump_weight", float, required=True))
+    return uniform_box(_get(pairs, "density.low", _floats, required=True),
+                       _get(pairs, "density.high", _floats, required=True))
 
 
 def _manifold_from(pairs) -> Optional[ManifoldSpec]:

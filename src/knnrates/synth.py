@@ -58,9 +58,6 @@ class DensitySpec:
     dim: int
     low: Optional[tuple] = None
     high: Optional[tuple] = None
-    bump_center: Optional[tuple] = None
-    bump_sigma: Optional[float] = None
-    bump_weight: Optional[float] = None
     p0: float = 0.0
     gamma: float = 0.0
     r0: float = 0.0
@@ -83,29 +80,9 @@ def uniform_box(low, high) -> DensitySpec:
                        r0=float(sides.min()) / 2.0)
 
 
-def truncated_mixture(low, high, bump_center, bump_sigma: float,
-                      bump_weight: float) -> DensitySpec:
-    """Uniform floor plus one truncated Gaussian bump on a box.  The floor
-    gives the analytic density lower bound p0 = (1-w)/Vol(box)."""
-    base = uniform_box(low, high)
-    bump_center = tuple(np.atleast_1d(np.asarray(bump_center, dtype=np.float64)))
-    if len(bump_center) != base.dim:
-        raise ValueError("bump_center: must have the dimension of the box")
-    if not (0.0 <= bump_weight < 1.0):
-        raise ValueError("bump_weight: must lie in [0, 1)")
-    if not 0.0 < bump_sigma < math.inf:
-        raise ValueError("bump_sigma: must be positive and finite")
-    return DensitySpec(kind="truncated-mixture", dim=base.dim,
-                       low=base.low, high=base.high,
-                       bump_center=bump_center, bump_sigma=float(bump_sigma),
-                       bump_weight=float(bump_weight),
-                       p0=(1.0 - bump_weight) * base.p0, gamma=base.gamma,
-                       r0=base.r0)
-
-
 def support_box(spec: DensitySpec) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned bounding box of the support."""
-    if spec.kind in ("uniform-box", "truncated-mixture"):
+    if spec.kind == "uniform-box":
         return np.asarray(spec.low), np.asarray(spec.high)
     raise ValueError(f"unknown density kind {spec.kind!r}")
 
@@ -118,19 +95,6 @@ def sample_points(spec: DensitySpec, n: int, seed) -> PointSet:
     lo, hi = support_box(spec)
     rng = _rng(seed)
     pts = lo + (hi - lo) * rng.random((n, spec.dim))
-    if spec.kind == "truncated-mixture":
-        from_bump = rng.random(n) < spec.bump_weight
-        m = int(from_bump.sum())
-        if m:
-            c = np.asarray(spec.bump_center)
-            draws = c + spec.bump_sigma * rng.standard_normal((m, spec.dim))
-            bad = ~((draws >= lo) & (draws <= hi)).all(axis=1)
-            while bad.any():  # rejection, deterministic given the stream
-                redraw = c + spec.bump_sigma * rng.standard_normal(
-                    (int(bad.sum()), spec.dim))
-                draws[bad] = redraw
-                bad = ~((draws >= lo) & (draws <= hi)).all(axis=1)
-            pts[from_bump] = draws
     return PointSet(pts)
 
 

@@ -1,34 +1,22 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
-Run with `pytest -s tests/test_acceptance.py` to see one PASS/FAIL line per
-criterion.  Criteria 2-8 are seeded Monte Carlo studies driven by the
-canned configs under scripts/configs/; the whole module takes 7-9
-seconds on a 2-vCPU machine, nearly half of it in the 10-D manifold
-study (AC3).
+Criteria 2-8 are the digests and gates of the `STUDIES` rows of
+scripts/run_all.py, which this module runs once and checks with its own
+`check`.  `pytest -s tests/test_acceptance.py` prints one PASS/FAIL line
+per check and criterion; the module takes 7-9 s on a 2-vCPU machine.
 """
 
-import hashlib
-import importlib.util
-import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
+import run_all
 
-from knnrates import (Dataset, PointSet, brute_force_knn,
-                      build_index, estimate_level_set, estimate_maxima,
-                      fit_rate, hausdorff_distance, knn_query, load_config_file,
-                      make_regressor, predict, records_to_csv, run_coverage,
-                      run_levelset, run_maxima, run_regression_rate,
-                      run_setcount)
+from knnrates import (Dataset, PointSet, brute_force_knn, build_index,
+                      estimate_level_set, estimate_maxima, hausdorff_distance,
+                      knn_query, load_config_file, make_regressor, predict,
+                      run_experiment)
 from knnrates.cli import cli_main
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
-
-
-def study_config(name):
-    return load_config_file(CONFIG_DIR / name)
 
 
 def report(criterion, ok, detail):
@@ -36,54 +24,36 @@ def report(criterion, ok, detail):
     assert ok, f"{criterion}: {detail}"
 
 
-# sha256 of each canned study's CSV, as scripts/run_all.py writes it with
-# the config's own seed.  The setcount one was taken before the counter
-# shared one distance block between the ks of a trial.
-CANNED_CSV_SHA256 = {
-    "holder_rate.cfg":
-        "f57c2ff451f8c2749d0046a29ea42bcc5212a538121a4b1716dad5deab292dd4",
-    "manifold_rate.cfg":
-        "c3b692dae12f8f5ed5dddee285eb94fbab0aa5588a5ed6c1e3db03aef0a85f40",
-    "variance_scaling.cfg":
-        "5eba42bc30e7f1aeb9996a338fdfe524cb048c0d3c89b26ff72d71f2ecaf171d",
-    "coverage.cfg":
-        "289cf6ce5324a7622fb2b1d689b057b8e2238595a6c72b303651ea1f7c9f006f",
-    "levelset_rate.cfg":
-        "2696149e9e47b2d8b6b47b48d1ab5d70cdfae3701647fb0895d15a1591c2a872",
-    "maxima_rate.cfg":
-        "bc1fe1a83829d7c9450ba0120d8766d6f4214c27eb91fc765bfba5466daff7f8",
-    "setcount.cfg":
-        "96dff85aa78ae4d2ff06b8019a437ffea201b3098a4669ae384df5861bcb59ed",
-}
+@pytest.fixture(scope="module")
+def run_all_out(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("run_all")
+    run_all.main(["--outdir", str(outdir)])
+    return outdir
 
 
-# sha256 of the variance study's records of each k alone: the bytes that
-# the one-k configs it replaced, variance_scaling_k64.cfg and _k128.cfg,
-# wrote.
-VARIANCE_K_CSV_SHA256 = {
-    64: "dc7aafba1a152dbab29af0af3902e8c56bbb6270eee074849b716b303f47c768",
-    128: "0aeece8bee275e15948016de9ccec9436eeacf5e3bcb2340225f91402c0b7b35",
-}
+def test_studies_are_the_canned_configs():
+    assert sorted(name for name, *_ in run_all.STUDIES) == \
+        sorted(path.name for path in run_all.CONFIG_DIR.glob("*.cfg"))
 
 
-def csv_sha256(records):
-    return hashlib.sha256(records_to_csv(records).encode("utf-8")).hexdigest()
+@pytest.mark.parametrize("study", run_all.STUDIES, ids=lambda s: s[0])
+def test_canned_study(run_all_out, study):
+    results = run_all.check(study, run_all_out)
+    assert all(ok for ok, _ in results), results
 
 
-def assert_canned_bytes(name, records):
-    assert csv_sha256(records) == CANNED_CSV_SHA256[name], name
-
-
-def test_canned_studies_pinned():
-    # A merged, added or renamed config must be both run by run_all.py and
-    # pinned above.
-    spec = importlib.util.spec_from_file_location(
-        "run_all", CONFIG_DIR.parent / "run_all.py")
-    run_all = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_all)
-    configs = sorted(path.name for path in CONFIG_DIR.glob("*.cfg"))
-    assert sorted(name for name, _, _ in run_all.STUDIES) == configs
-    assert sorted(CANNED_CSV_SHA256) == configs
+def test_holder_gates_fail_a_wrong_k_rule(tmp_path):
+    # k = n^0.5 under-smooths and k = n^0.75 over-smooths: both measured
+    # slopes lie about 0.08 from -1/3, inside the old [-0.43, -0.23] window.
+    gates = {s[0]: s[4] for s in run_all.STUDIES}["holder_rate.cfg"]
+    text = (run_all.CONFIG_DIR / "holder_rate.cfg").read_text()
+    for exponent in ("0.5", "0.75"):
+        path = tmp_path / f"holder_{exponent}.cfg"
+        path.write_text(text.replace("k.exponent = 0.6666666666666666",
+                                     f"k.exponent = {exponent}"))
+        cfg = load_config_file(path)
+        records = run_experiment(cfg)
+        assert not all(gate(records, cfg)[0] for gate in gates), exponent
 
 
 def test_ac1_oracle_equivalence():
@@ -109,84 +79,6 @@ def test_ac1_oracle_equivalence():
     report("AC1 oracle equivalence",
            elapsed < 60.0,
            f"1000 instances exact, {elapsed:.1f}s < 60s")
-
-
-def test_ac2_holder_rate():
-    records = run_regression_rate(study_config("holder_rate.cfg"))
-    slope = fit_rate(records, "sup_error").slope
-    report("AC2 sup-error rate", -0.43 <= slope <= -0.23,
-           f"slope {slope:.4f} in [-0.43, -0.23], target -1/3")
-    assert_canned_bytes("holder_rate.cfg", records)
-
-
-def test_ac3_manifold_adaptation():
-    records = run_regression_rate(study_config("manifold_rate.cfg"))
-    slope = fit_rate(records, "sup_error").slope
-    report("AC3 manifold adaptation",
-           -0.43 <= slope <= -0.23 and slope < -0.15,
-           f"slope {slope:.4f} in [-0.43, -0.23] and < -0.15 "
-           "(ambient rate would be about -0.083)")
-    assert_canned_bytes("manifold_rate.cfg", records)
-
-
-def test_ac4_variance_scaling():
-    records = run_regression_rate(study_config("variance_scaling.cfg"))
-    assert_canned_bytes("variance_scaling.cfg", records)
-    assert {r.k for r in records} == set(VARIANCE_K_CSV_SHA256)
-    med = {}
-    for k, digest in VARIANCE_K_CSV_SHA256.items():
-        of_k = [r for r in records if r.k == k]
-        assert csv_sha256(of_k) == digest, k
-        med[k] = float(np.median([r.value for r in of_k]))
-    ratio = med[128] / med[64]
-    report("AC4 variance-term scaling", 0.6 <= ratio <= 0.82,
-           f"doubling k: median ratio {ratio:.4f} in [0.60, 0.82], "
-           "theory 0.707")
-
-
-def test_ac5_coverage():
-    res = run_coverage(study_config("coverage.cfg"))
-    floor = 0.9 - 3.0 * math.sqrt(0.9 * 0.1 / 200.0)
-    rad_floor = 0.95 - 3.0 * math.sqrt(0.95 * 0.05 / 200.0)
-    ok = res.coverage >= floor and res.radius_coverage >= rad_floor
-    report("AC5 bound coverage", ok,
-           f"sup coverage {res.coverage:.3f} >= {floor:.3f}, "
-           f"radius coverage {res.radius_coverage:.3f} >= {rad_floor:.3f}, "
-           f"violations {list(res.sup_violations)} "
-           f"{list(res.radius_violations)}")
-    assert_canned_bytes("coverage.cfg", res.records)
-
-
-def test_ac6_level_set_rate():
-    cfg = study_config("levelset_rate.cfg")
-    records = run_levelset(cfg)
-    fit = fit_rate(records, "d_H")
-    spacing = 1.0 / cfg.probe_cells  # unit box per-axis step
-    min_median = min(m for _, m in fit.medians)
-    ok = (-0.48 <= fit.slope <= -0.18) and spacing <= min_median / 2.0
-    report("AC6 level-set Hausdorff rate", ok,
-           f"slope {fit.slope:.4f} in [-0.48, -0.18], target -1/3; "
-           f"grid spacing {spacing:.5f} <= half min median "
-           f"{min_median / 2.0:.5f}")
-    assert_canned_bytes("levelset_rate.cfg", records)
-
-
-def test_ac7_maxima_rate():
-    records = run_maxima(study_config("maxima_rate.cfg"))
-    slope = fit_rate(records, "maxima_dist").slope
-    report("AC7 maxima rate", -0.30 <= slope <= -0.10,
-           f"slope {slope:.4f} in [-0.30, -0.10], target -0.2")
-    assert_canned_bytes("maxima_rate.cfg", records)
-
-
-def test_ac8_set_count_bound():
-    records = run_setcount(study_config("setcount.cfg"))
-    violations = [(r.n, r.k, r.seed, r.value, r.bound) for r in records
-                  if r.value > r.bound]
-    report("AC8 distinct-set count bound", not violations,
-           f"{len(records)} (n, k, seed) cases all within 2*n^2; "
-           f"violations {violations}")
-    assert_canned_bytes("setcount.cfg", records)
 
 
 def _random_cloud(rng, max_pts=12, dim=2):

@@ -1,6 +1,8 @@
 """CLI tests: exit codes, determinism of emitted CSV, and the fit pipeline."""
 
 
+import hashlib
+
 import pytest
 
 from knnrates import fit_rate, read_records
@@ -44,10 +46,9 @@ BAD_VALUES = [pytest.param(*case, id=case[2]) for case in [
     ("ladder.n = 32, 64, 128, 256", "ladder.n = 32, 1099511627776",
      "ladder.n"),
     ("density.high = 1.0", "density.high = -1.0", "density.high"),
-    ("density.kind = uniform-box",
-     "density.kind = truncated-mixture\ndensity.bump_center = 0.5\n"
-     "density.bump_sigma = 0.1\ndensity.bump_weight = 1.5",
-     "density.bump_weight"),
+    # An unknown density kind is named with its value.
+    ("density.kind = uniform-box", "density.kind = truncated-mixture",
+     "truncated-mixture"),
     ("field.slope = 2.0", "field.slope = -2", "field.slope"),
     ("field.kind = tent\nfield.center = 0.5\nfield.slope = 2.0",
      "field.kind = holder-cusp\nfield.center = 0.5\n"
@@ -489,24 +490,50 @@ class TestAllSubcommands:
 
 
 class TestRunAllScript:
-    def test_trimmed_study_list(self, tmp_path, monkeypatch):
-        import importlib.util
-        import pathlib
+    """scripts/run_all.py with its table trimmed to one tiny setcount row."""
 
-        script = (pathlib.Path(__file__).resolve().parent.parent
-                  / "scripts" / "run_all.py")
-        spec = importlib.util.spec_from_file_location("run_all", script)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
+    PASS = staticmethod(lambda records, cfg: (len(records) == 10, "10 rows"))
+    FAIL = staticmethod(lambda records, cfg: (False, "always fails"))
 
-        cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(SETCOUNT_CONFIG)
-        monkeypatch.setattr(mod, "CONFIG_DIR", tmp_path)
-        monkeypatch.setattr(mod, "STUDIES", [("tiny.cfg", "setcount", None)])
-        monkeypatch.setattr("sys.argv",
-                            ["run_all.py", "--outdir", str(tmp_path / "out")])
-        assert mod.main() == 0
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch):
+        import run_all
+
+        (tmp_path / "tiny.cfg").write_text(SETCOUNT_CONFIG)
+        monkeypatch.setattr(run_all, "CONFIG_DIR", tmp_path)
+
+        def run(digest, gates, *flags):
+            monkeypatch.setattr(run_all, "STUDIES", [
+                ("tiny.cfg", "setcount", None, digest, gates)])
+            return run_all.main(["--outdir", str(tmp_path / "out"), *flags])
+        return run
+
+    @staticmethod
+    def digest(tmp_path):
+        return hashlib.sha256(
+            (tmp_path / "out" / "tiny.csv").read_bytes()).hexdigest()
+
+    def test_trimmed_study_list(self, run, tmp_path, capsys):
+        assert run("0" * 64, [], "--seed", "42") == 0
+        assert run(self.digest(tmp_path), [self.PASS]) == 0
+        out = capsys.readouterr().out
+        assert out.count("tiny.cfg: PASS") == 2 and "FAIL" not in out
+
+    def test_wrong_digest_or_failing_gate_exit_1(self, run, tmp_path,
+                                                 capsys):
+        assert run("0" * 64, [self.PASS]) == 1
+        assert "tiny.cfg: FAIL (sha256" in capsys.readouterr().out
+        assert run(self.digest(tmp_path), [self.PASS, self.FAIL]) == 1
+        out = capsys.readouterr().out
+        assert out.count("tiny.cfg: PASS") == 2
+        assert "tiny.cfg: FAIL (always fails)" in out
+
+    def test_seed_skips_checks(self, run, tmp_path, capsys):
+        # The digests and windows hold at the configs' own seeds alone.
+        assert run("0" * 64, [self.FAIL], "--seed", "7") == 0
         assert (tmp_path / "out" / "tiny.csv").exists()
+        out = capsys.readouterr().out
+        assert "PASS" not in out and "FAIL" not in out
 
 
 class TestScipyOnlyForTrees:

@@ -10,7 +10,7 @@ import knnrates.synth as synth
 from knnrates import (ManifoldSpec, NoiseSpec, embed_manifold, embed_points,
                       make_field, manifold_field, manifold_probe_grid,
                       sample_noise, sample_points, stream_seed, to_intrinsic,
-                      truncated_mixture, uniform_box, uniform_grid)
+                      uniform_box, uniform_grid)
 
 
 class TestDensities:
@@ -28,24 +28,6 @@ class TestDensities:
         assert spec.p0 == 1.0
         assert spec.gamma == 0.25  # corner worst case
         assert spec.r0 == 0.5
-
-    def test_mixture_support_and_floor_declaration(self):
-        spec = truncated_mixture((0.0,), (1.0,), (0.5,), 0.1, 0.6)
-        assert spec.p0 == pytest.approx(0.4)
-        pts = sample_points(spec, 2000, 3).points
-        assert ((pts >= 0.0) & (pts <= 1.0)).all()
-
-    def test_mixture_histogram_floor(self):
-        # Empirical bin frequencies stay above the declared floor minus a
-        # 3-standard-error Monte Carlo allowance.
-        spec = truncated_mixture((0.0,), (1.0,), (0.3,), 0.05, 0.5)
-        n, bins = 200_000, 20
-        pts = sample_points(spec, n, 11).points[:, 0]
-        counts, _ = np.histogram(pts, bins=bins, range=(0.0, 1.0))
-        width = 1.0 / bins
-        floor_prob = spec.p0 * width
-        density_stderr = math.sqrt(floor_prob * (1 - floor_prob) / n) / width
-        assert (counts / n / width >= spec.p0 - 3 * density_stderr).all()
 
     def test_stream_separation(self):
         spec = uniform_box((0.0,), (1.0,))
