@@ -22,9 +22,8 @@ from .structures import (count_distinct_knn_sets, estimate_level_set,
                          estimate_maxima, hausdorff_distance,
                          hausdorff_distance_bruteforce, true_level_set_grid)
 from .synth import (DensitySpec, ManifoldSample, ManifoldSpec, NoiseSpec,
-                    embed_manifold, embed_points, halton_probes, make_field,
-                    manifold_field, manifold_probe_grid, sample_noise,
-                    sample_points, stream_seed, to_intrinsic, uniform_box,
-                    uniform_grid)
+                    embed_manifold, embed_points, make_field, manifold_field,
+                    manifold_probe_grid, sample_noise, sample_points,
+                    stream_seed, to_intrinsic, uniform_box, uniform_grid)
 
 __version__ = "0.1.0"

@@ -199,8 +199,7 @@ def k_range_check(params: BoundParams, n: int, k: int,
     n, k = _check_nk(n, k, allow_large_k=True)
     D = params.dim
     logn = math.log(n)
-    checks = [KCheck("k_at_least_one", 1.0, float(k), k >= 1),
-              KCheck("k_le_n", float(k), float(n), k <= n)]
+    checks = [KCheck("k_le_n", float(k), float(n), k <= n)]
 
     if setting == "full":
         log2_4d = math.log(4.0 / params.delta) ** 2

@@ -27,9 +27,9 @@ from .structures import (count_distinct_knn_sets, estimate_level_set,
                          estimate_maxima, hausdorff_distance,
                          true_level_set_grid)
 from .synth import (DensitySpec, ManifoldSpec, NoiseSpec, embed_manifold,
-                    halton_probes, make_field, manifold_field,
-                    manifold_probe_grid, sample_noise, sample_points,
-                    stream_seed, support_box, uniform_box, uniform_grid)
+                    make_field, manifold_field, manifold_probe_grid,
+                    sample_noise, sample_points, stream_seed, support_box,
+                    uniform_box, uniform_grid)
 
 
 class ConfigError(ValueError):
@@ -38,9 +38,9 @@ class ConfigError(ValueError):
 
 EXPERIMENT_KINDS = ("regression", "levelset", "maxima", "coverage", "setcount")
 
-# The most probe points a config may ask for, grid or Halton cloud: 16 times
-# the largest any canned study uses (513^2, a 2-D grid of 512 cells).  In
-# 2-D their coordinates alone take 64 MiB.
+# The most probe points a config may ask for: 16 times the largest any
+# canned study uses (513^2, a 2-D grid of 512 cells).  In 2-D their
+# coordinates alone take 64 MiB.
 PROBE_BUDGET = 2 ** 22
 
 # The most sample coordinates (n times the ambient D) a rung may draw: 51
@@ -103,7 +103,6 @@ class ExperimentConfig:
     k_rule: KRule = field(default_factory=KRule)
     k_values: tuple = ()
     probe_cells: int = 512
-    probe_count: int = 4096
     density: Optional[DensitySpec] = None
     noise: NoiseSpec = field(default_factory=lambda: NoiseSpec("none"))
     field_kind: Optional[str] = None
@@ -149,8 +148,6 @@ class ExperimentConfig:
             raise ConfigError("trial.seeds_per_n: must be >= 1")
         if self.probe_cells < 1:
             raise ConfigError("probes.cells: must be >= 1")
-        if self.probe_count < 1:
-            raise ConfigError("probes.count: must be >= 1")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("trial.delta: must lie in (0, 1)")
         if self.m2 is not None and not 0.0 <= self.m2 < math.inf:
@@ -168,21 +165,15 @@ class ExperimentConfig:
             raise ConfigError("manifold.ambient_dim: a rotation asks for D "
                               "times D matrix entries, over the budget of "
                               f"{SAMPLE_BUDGET}")
-        # probe_set lays probe_cells points along a manifold's arc length;
-        # it and run_levelset lay probe_cells + 1 points per axis over a box
-        # of up to two dimensions (any dimension for levelset); other boxes
-        # take a Halton cloud of probe_count.
-        if self.manifold is not None:
-            grid = self.probe_cells
-        elif self.density.dim <= 2 or self.kind == "levelset":
-            grid = (self.probe_cells + 1) ** self.density.dim
-        else:
-            grid = 0
-        for key, points in (("probes.cells", grid),
-                            ("probes.count", self.probe_count)):
-            if points > PROBE_BUDGET:
-                raise ConfigError(f"{key}: asks for {points} probe points, "
-                                  f"over the budget of {PROBE_BUDGET}")
+        # probe_set lays probe_cells points along a manifold's arc length
+        # and probe_cells + 1 points per axis over a box.  Every axis past
+        # the 22nd takes a box over the budget, so the power stops at 23
+        # axes, short of a count with millions of digits.
+        per_axis, axes = ((self.probe_cells, 1) if self.manifold is not None
+                          else (self.probe_cells + 1, self.density.dim))
+        if per_axis ** min(axes, 23) > PROBE_BUDGET:
+            raise ConfigError(f"probes.cells: asks for {per_axis}^{axes} probe"
+                              f" points, over the budget of {PROBE_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -276,18 +267,14 @@ def bound_params_for(cfg: ExperimentConfig, fld: ScalarField) -> BoundParams:
 
 
 def probe_set(cfg: ExperimentConfig):
-    """Deterministic probe cloud over the support: a uniform grid per
-    dimension for D <= 2 (and for the arc-length coordinate of manifolds),
-    a Halton cloud for D >= 3.  Returns (points, spacing-or-None)."""
+    """Deterministic probe grid over the support: `probes.cells` cells per
+    axis over a box, in any dimension, or `probes.cells` evenly spaced
+    points along a manifold's arc length.  Returns (points, spacing)."""
     if cfg.manifold is not None:
         spec = cfg.manifold
         return (manifold_probe_grid(spec, cfg.probe_cells),
                 spec.length / cfg.probe_cells)
-    ds = cfg.density
-    lo, hi = support_box(ds)
-    if ds.dim <= 2:
-        return uniform_grid(lo, hi, cfg.probe_cells)
-    return halton_probes(lo, hi, cfg.probe_count), None
+    return uniform_grid(*support_box(cfg.density), cfg.probe_cells)
 
 
 def _validity(params: BoundParams, n: int, k: int, setting: str) -> bool:
@@ -436,8 +423,7 @@ def run_levelset(cfg: ExperimentConfig) -> list:
     estimates or empty truth produce failure rows (NaN value), not crashes."""
     fld = experiment_field(cfg)
     lam = float(cfg.level_lambda)
-    lo, hi = support_box(cfg.density)
-    grid, _ = uniform_grid(lo, hi, cfg.probe_cells)
+    grid, _ = probe_set(cfg)
     truth = true_level_set_grid(fld, lam, grid)
 
     def measure(reg):
@@ -602,8 +588,16 @@ def _get(pairs, key, conv, default=None, required=False):
         raise ConfigError(f"{key}: cannot parse {raw!r} ({e})") from e
 
 
+def _float(raw: str) -> float:
+    """A config float: a number that is not finite is bad input."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _floats(raw: str):
-    return tuple(float(v) for v in raw.split(","))
+    return tuple(_float(v) for v in raw.split(","))
 
 
 def _ints(raw: str):
@@ -637,8 +631,8 @@ def build_config(pairs: dict) -> ExperimentConfig:
     Each key is read only on the path that uses it, which the experiment
     kind, `k.values` or else the k rule, and the manifold, density or
     field kind choose.  A key that no path read is rejected, not dropped:
-    one ConfigError names every such key.  `probes.cells` and
-    `probes.count` are read for every study.
+    one ConfigError names every such key.  `probes.cells` is read for
+    every study.
     """
     pairs = dict(pairs)  # _get takes each key it reads out of this copy
     kind = _get(pairs, "experiment.kind", str, required=True)
@@ -649,15 +643,15 @@ def build_config(pairs: dict) -> ExperimentConfig:
     study = {"k_values": _get(pairs, "k.values", _ints, default=())}
     if kind != "setcount":  # the counter reads only the sample points
         study.update(
-            delta=_get(pairs, "trial.delta", float, default=0.1),
+            delta=_get(pairs, "trial.delta", _float, default=0.1),
             noise=_spec("noise", NoiseSpec,
                         _get(pairs, "noise.kind", str, default="none"),
-                        _get(pairs, "noise.scale", float, default=0.0)))
+                        _get(pairs, "noise.scale", _float, default=0.0)))
         if not study["k_values"]:
             study["k_rule"] = _k_rule_from(pairs)
     if kind == "levelset":
-        study.update(level_lambda=_get(pairs, "level.lambda", float),
-                     m2=_get(pairs, "level.m2", float))
+        study.update(level_lambda=_get(pairs, "level.lambda", _float),
+                     m2=_get(pairs, "level.m2", _float))
     if density is not None and kind != "setcount":
         field_kind = study["field_kind"] = _get(pairs, "field.kind", str)
         if field_kind is not None:
@@ -668,11 +662,7 @@ def build_config(pairs: dict) -> ExperimentConfig:
         master_seed=_get(pairs, "seed.master", int, required=True),
         n_ladder=_get(pairs, "ladder.n", _ints, required=True),
         seeds_per_n=_get(pairs, "trial.seeds_per_n", int, default=1),
-        # Read for every study, though each uses one of the two: a grid of
-        # probes.cells per axis, or in three or more dimensions a Halton
-        # cloud of probes.count.  A config may set either for any density.
         probe_cells=_get(pairs, "probes.cells", int, default=512),
-        probe_count=_get(pairs, "probes.count", int, default=4096),
         density=density, manifold=manifold, **study)
     if kind != "setcount":
         # Every other runner builds the field; a bad field value fails here.
@@ -684,10 +674,10 @@ def build_config(pairs: dict) -> ExperimentConfig:
 
 def _k_rule_from(pairs) -> KRule:
     rule = _get(pairs, "k.rule", str, default="optimal")
-    factor = _get(pairs, "k.factor", float, default=1.0)
+    factor = _get(pairs, "k.factor", _float, default=1.0)
     if rule == "power":
         return KRule(rule, factor=factor,
-                     exponent=_get(pairs, "k.exponent", float))
+                     exponent=_get(pairs, "k.exponent", _float))
     return KRule(rule, factor=factor,
                  mode=_get(pairs, "k.mode", str, default="regression"))
 
@@ -709,13 +699,13 @@ def _manifold_from(pairs) -> Optional[ManifoldSpec]:
     return ManifoldSpec(
         kind=kind,
         ambient_dim=_get(pairs, "manifold.ambient_dim", int, required=True),
-        radius=_get(pairs, "manifold.radius", float, default=1.0),
+        radius=_get(pairs, "manifold.radius", _float, default=1.0),
         rotate=_get(pairs, "manifold.rotate", _bool, default=False),
         rotation_seed=_get(pairs, "manifold.rotation_seed", int, default=0),
-        field_slope=_get(pairs, "manifold.field_slope", float, default=2.0),
-        field_center_s=_get(pairs, "manifold.field_center_s", float,
+        field_slope=_get(pairs, "manifold.field_slope", _float, default=2.0),
+        field_center_s=_get(pairs, "manifold.field_center_s", _float,
                             default=0.0),
-        field_peak=_get(pairs, "manifold.field_peak", float, default=0.5),
+        field_peak=_get(pairs, "manifold.field_peak", _float, default=0.5),
     )
 
 
@@ -723,7 +713,7 @@ def _field_params_from(pairs, field_kind, dim, level_lambda):
     """The field's parameters; a levelset study's tent takes `level.lambda`
     as its level unless `field.level` sets one."""
     if field_kind == "constant":
-        return {"value": _get(pairs, "field.value", float, required=True),
+        return {"value": _get(pairs, "field.value", _float, required=True),
                 "dim": dim}
     if field_kind not in ("tent", "holder-cusp", "quadratic-peak"):
         raise ConfigError(f"field.kind: unknown kind {field_kind!r}")
@@ -733,19 +723,24 @@ def _field_params_from(pairs, field_kind, dim, level_lambda):
                           f"the density has dimension {dim}")
     p = {"center": center}
     if field_kind == "tent":
-        p["slope"] = _get(pairs, "field.slope", float, required=True)
-        p["peak"] = _get(pairs, "field.peak", float, default=1.0)
-        level = _get(pairs, "field.level", float, default=level_lambda)
+        p["slope"] = _get(pairs, "field.slope", _float, required=True)
+        p["peak"] = _get(pairs, "field.peak", _float, default=1.0)
+        level = _get(pairs, "field.level", _float)
+        if level is None and level_lambda is not None:
+            if level_lambda >= p["peak"]:
+                raise ConfigError("level.lambda: must lie below the tent's "
+                                  "peak")
+            level = level_lambda
         if level is not None:
             p["level"] = level
     elif field_kind == "holder-cusp":
-        p["c_alpha"] = _get(pairs, "field.c_alpha", float, required=True)
-        p["alpha"] = _get(pairs, "field.alpha", float, required=True)
-        p["peak"] = _get(pairs, "field.peak", float, default=1.0)
+        p["c_alpha"] = _get(pairs, "field.c_alpha", _float, required=True)
+        p["alpha"] = _get(pairs, "field.alpha", _float, required=True)
+        p["peak"] = _get(pairs, "field.peak", _float, default=1.0)
     else:
-        p["curvature"] = _get(pairs, "field.curvature", float, required=True)
-        p["height"] = _get(pairs, "field.height", float, default=1.0)
-        r_m = _get(pairs, "field.r_m", float)
+        p["curvature"] = _get(pairs, "field.curvature", _float, required=True)
+        p["height"] = _get(pairs, "field.height", _float, default=1.0)
+        r_m = _get(pairs, "field.r_m", _float)
         if r_m is not None:
             p["r_m"] = r_m
     return p

@@ -250,6 +250,8 @@ class ManifoldSpec:
             raise ValueError("ambient_dim: must be >= 2 for a circle")
         if not 0.0 < self.radius < math.inf:
             raise ValueError("radius: must be positive and finite")
+        if self.rotation_seed < 0:
+            raise ValueError("rotation_seed: must be >= 0")
         if not 0.0 <= self.field_slope < math.inf:
             raise ValueError("field_slope: must be nonnegative and finite")
 
@@ -360,12 +362,3 @@ def uniform_grid(low, high, cells: int) -> tuple[PointSet, float]:
     spacing = float(((hi - lo) / cells).max())
     return PointSet(pts), spacing
 
-
-def halton_probes(low, high, count: int) -> PointSet:
-    """Deterministic low-discrepancy probe cloud in a box (for D >= 3)."""
-    from scipy.stats import qmc
-
-    lo = np.atleast_1d(np.asarray(low, dtype=np.float64))
-    hi = np.atleast_1d(np.asarray(high, dtype=np.float64))
-    u = qmc.Halton(d=lo.shape[0], scramble=False).random(int(count))
-    return PointSet(lo + (hi - lo) * u)

@@ -37,6 +37,11 @@ def config_path(tmp_path):
     return path
 
 
+# CONFIG's box, noise and field, and a circle in R^4 with the same noise.
+BOX = CONFIG[CONFIG.index("density.kind"):]
+CIRCLE = ("noise.kind = gaussian\nnoise.scale = 0.1\nmanifold.kind = circle\n"
+          "manifold.ambient_dim = 4\n")
+
 # (line of CONFIG, its replacement, the key the error must name)
 BAD_VALUES = [pytest.param(*case, id=case[2]) for case in [
     # The master seed is an unsigned 64-bit integer.
@@ -75,6 +80,26 @@ BAD_VALUES = [pytest.param(*case, id=case[2]) for case in [
      "field.curvature"),
     ("density.high = 1.0", "density.high = 1.0\ndensity.bump_sigma = 0.1",
      "density.bump_sigma"),
+    # A float that is not finite is bad input, named by its key.  The key
+    # alone would repeat an id above for field.center and density.high, so
+    # those name the value too.
+    ("field.peak = 1.0", "field.peak = nan", "field.peak"),
+    ("field.center = 0.5", "field.center = nan",
+     "field.center: cannot parse 'nan'"),
+    ("density.high = 1.0", "density.high = inf",
+     "density.high: cannot parse 'inf'"),
+    ("field.kind = tent\nfield.center = 0.5\nfield.slope = 2.0\n"
+     "field.peak = 1.0",
+     "field.kind = quadratic-peak\nfield.center = 0.5\n"
+     "field.curvature = 1.5\nfield.height = nan", "field.height"),
+    ("experiment.kind = regression",
+     "experiment.kind = levelset\nlevel.lambda = nan", "level.lambda"),
+    (BOX, CIRCLE + "manifold.field_peak = nan\n", "manifold.field_peak"),
+    (BOX, CIRCLE + "manifold.field_center_s = inf\n",
+     "manifold.field_center_s"),
+    # The rotation's seed is unsigned, like the master seed.
+    (BOX, CIRCLE + "manifold.rotate = true\nmanifold.rotation_seed = -1\n",
+     "manifold.rotation_seed"),
     # The circle brings its own density and field.
     ("probes.cells = 64", "probes.cells = 64\nmanifold.kind = circle\n"
      "manifold.ambient_dim = 4", "density.kind"),
@@ -539,8 +564,9 @@ class TestRunAllScript:
 class TestScipyOnlyForTrees:
     """A fresh interpreter, since pytest's may already hold scipy: the
     package, a 1-D study and a 2-D setcount study load no scipy module and
-    no `concurrent.futures`, and the first D >= 2 index loads scipy and
-    answers as the oracle does."""
+    no `concurrent.futures`, the first D >= 2 index loads scipy and
+    answers as the oracle does, and a 3-D box study, which probes a grid,
+    loads no `scipy.stats`."""
 
     SCRIPT = """\
 import sys
@@ -575,6 +601,9 @@ for q in np.vstack([X[:20], [[2.5, 2.5], [-1.0, 7.0]]]):
     oracle = knnrates.brute_force_knn(X, q, 7)
     assert ns.radius == oracle.radius
     assert np.array_equal(ns.member_indices, oracle.member_indices)
+assert cli_main(["regress", "--config", sys.argv[5], "--out", sys.argv[6],
+                 "--quiet"]) == 0
+assert not [m for m in sys.modules if m.startswith("scipy.stats")]
 """
 
     def test_fresh_interpreter(self, tmp_path):
@@ -598,14 +627,27 @@ for q in np.vstack([X[:20], [[2.5, 2.5], [-1.0, 7.0]]]):
         setcount_cfg = tmp_path / "setcount.cfg"
         setcount_cfg.write_text(SETCOUNT_CONFIG)
         setcount_out = tmp_path / "setcount.csv"
+        box_cfg = tmp_path / "box-3d.cfg"
+        box_cfg.write_text(CONFIG.replace("ladder.n = 32, 64, 128, 256",
+                                          "ladder.n = 64")
+                           .replace("probes.cells = 64", "probes.cells = 8")
+                           .replace("density.low = 0.0",
+                                    "density.low = 0, 0, 0")
+                           .replace("density.high = 1.0",
+                                    "density.high = 1, 1, 1")
+                           .replace("field.center = 0.5",
+                                    "field.center = 0.5, 0.5, 0.5"))
+        box_out = tmp_path / "box-3d.csv"
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(cfg),
                                str(out), str(setcount_cfg),
-                               str(setcount_out)], env=env,
+                               str(setcount_out), str(box_cfg),
+                               str(box_out)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 2  # header + one trial
         # header + 3 rungs x 2 seeds x 2 ks, less k = 3 at n = 2
         assert len(setcount_out.read_text().splitlines()) == 11
+        assert len(box_out.read_text().splitlines()) == 3  # header + 2 seeds
 
 
 class TestCoverageCommand:

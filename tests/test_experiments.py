@@ -75,13 +75,15 @@ class TestConfigParsing:
     # After a made-up key, the keys a config would use to shape a curve
     # other than the circle, override constants the generators declare,
     # fix the level-set margin, repeat --out, shape a ball or a linear
-    # field, or give a constant field its own dimension.
+    # field, give a constant field its own dimension, or size a probe
+    # cloud in place of the grid.
     @pytest.mark.parametrize("key", [
         "density.sides", "manifold.tube_radius", "manifold.winding",
         "manifold.theta0", "manifold.theta1", "manifold.pitch",
         "bounds.gamma", "bounds.p0", "bounds.r0", "bounds.sigma",
         "level.epsilon_override", "output.path", "density.center",
-        "density.radius", "field.a", "field.b", "field.dim"])
+        "density.radius", "field.a", "field.b", "field.dim",
+        "probes.count"])
     def test_unknown_key_named(self, key):
         with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
             build_config(base_pairs(**{key: "1"}))
@@ -128,6 +130,17 @@ class TestConfigParsing:
     def test_levelset_needs_lambda(self):
         with pytest.raises(ConfigError, match="^level.lambda is required"):
             build_config(base_pairs(**{"experiment.kind": "levelset"}))
+
+    # The tent's level is field.level when the config sets it, and else
+    # level.lambda: a level at the peak is named by the key it came from.
+    @pytest.mark.parametrize("over, key", [
+        ({"level.lambda": "1.0"}, "level.lambda"),
+        ({"level.lambda": "0.5", "field.level": "1.0"}, "field.level")])
+    def test_level_at_peak_names_its_key(self, over, key):
+        with pytest.raises(ConfigError, match=f"^{key}: must lie below the "
+                           "tent's peak"):
+            build_config(base_pairs(**{"experiment.kind": "levelset",
+                                       **over}))
 
     def test_setcount_needs_k_values(self):
         with pytest.raises(ConfigError, match="^k.values is required"):
@@ -447,14 +460,26 @@ class TestProbes:
         assert probes.n == 101
         assert h == pytest.approx(0.01)
 
-    def test_halton_probe_high_dim(self):
+    def test_grid_probe_3d(self):
+        # cells + 1 points per axis; the spacing is the largest step.
         cfg = build_config(base_pairs(**{
-            "density.kind": "uniform-box", "density.low": "0, 0, 0",
-            "density.high": "1, 1, 1", "probes.count": "256",
-            "field.center": "0.5, 0.5, 0.5"}))
+            "density.low": "0, 0, 0", "density.high": "1, 2, 1",
+            "probes.cells": "4", "field.center": "0.5, 1, 0.5"}))
         probes, h = probe_set(cfg)
-        assert probes.n == 256 and h is None
-        assert ((probes.points >= 0) & (probes.points <= 1)).all()
+        assert probes.n == 5 ** 3 and h == 0.5
+        for axis, high in enumerate((1.0, 2.0, 1.0)):
+            assert np.array_equal(np.unique(probes.points[:, axis]),
+                                  np.linspace(0.0, high, 5))
+
+    def test_3d_box_must_set_cells(self):
+        # The default of 512 cells asks for 513^3 probe points.
+        pairs = base_pairs(**{"density.low": "0, 0, 0",
+                              "density.high": "1, 1, 1",
+                              "field.center": "0.5, 0.5, 0.5"})
+        del pairs["probes.cells"]
+        with pytest.raises(ConfigError, match=r"^probes\.cells: asks for "
+                           r"513\^3 probe points, over the budget"):
+            build_config(pairs)
 
     @pytest.mark.parametrize("over, key", [
         ({"probes.cells": "100000", "density.low": "0, 0",
@@ -465,10 +490,17 @@ class TestProbes:
           "probes.cells": "512", "density.low": "0, 0, 0",
           "density.high": "1, 1, 1", "field.center": "0.5, 0.5, 0.5"},
          "probes.cells"),
-        ({"probes.count": "4194305"}, "probes.count"),
+        ({"probes.cells": "161", "density.low": "0, 0, 0",
+          "density.high": "1, 1, 1", "field.center": "0.5, 0.5, 0.5"},
+         "probes.cells"),
         ({"manifold.kind": "circle", "manifold.ambient_dim": "4",
           "manifold.radius": "0.1592", "probes.cells": "4194305"},
-         "probes.cells")])
+         "probes.cells"),
+        # Past 22 axes one cell per axis is over the budget, and a 2,000-D
+        # grid's count is rejected without being printed in full.
+        ({"probes.cells": "1", "density.low": ", ".join(["0"] * 2000),
+          "density.high": ", ".join(["1"] * 2000),
+          "field.center": ", ".join(["0.5"] * 2000)}, "probes.cells")])
     def test_oversized_probe_sets_rejected(self, over, key):
         pairs = base_pairs(**over)
         if "manifold.kind" in over:
@@ -481,22 +513,18 @@ class TestProbes:
     @pytest.mark.parametrize("over, key", [
         ({"ladder.n": "0, 64"}, "ladder.n"),
         ({"experiment.kind": "setcount", "k.values": "1, 0"}, "k.values"),
-        ({"probes.cells": "0"}, "probes.cells"),
-        ({"probes.count": "0", "density.low": "0, 0, 0",
-          "density.high": "1, 1, 1", "field.center": "0.5, 0.5, 0.5"},
-         "probes.count")])
+        ({"probes.cells": "0"}, "probes.cells")])
     def test_values_below_one_rejected(self, over, key):
         with pytest.raises(ConfigError, match=f"^{key}: .*must be >= 1"):
             build_config(base_pairs(**over))
 
     def test_probe_budget_edge_accepted(self):
-        # 2048^2 grid points is exactly the budget; a Halton box ignores
-        # the grid setting; a manifold lays one probe per cell.
+        # 2048^2 grid points is exactly the budget, and 161^3 is the
+        # largest 3-D grid within it; a manifold lays one probe per cell.
         build_config(base_pairs(**{"probes.cells": "2047", "density.low": "0, 0",
                                    "density.high": "1, 1",
                                    "field.center": "0.5, 0.5"}))
-        build_config(base_pairs(**{"probes.cells": "100000",
-                                   "probes.count": "4194304",
+        build_config(base_pairs(**{"probes.cells": "160",
                                    "density.low": "0, 0, 0",
                                    "density.high": "1, 1, 1",
                                    "field.center": "0.5, 0.5, 0.5"}))
@@ -595,14 +623,13 @@ class TestBoundParamsFor:
 # neighbor means, which are unique: the levelset, maxima and setcount ones
 # date from before the runners came to share one trial loop, the manifold
 # and coverage ones moved when the means stopped depending on summation
-# order, and the 3-D box (the Halton probe path) was first taken after
-# that.
+# order, and the 3-D box's moved when it came to probe a grid.
 GOLDEN_CONFIGS = {
     "regression-box-3d": (base_pairs(**{
         "density.low": "0, 0, 0", "density.high": "1, 1, 1",
-        "field.center": "0.5, 0.5, 0.5", "probes.count": "128",
+        "field.center": "0.5, 0.5, 0.5", "probes.cells": "4",
         "ladder.n": "64, 128"}),
-        "345ca3256a84827f7e84db362cd82667a5a0d3e75da4f04f9920ca6b61415588"),
+        "1ecf741a642201abc07956ca745c5e4e7608608021ddd2e8bbed22e0d013664e"),
     "manifold": ({
         "experiment.kind": "regression", "seed.master": "5",
         "ladder.n": "64, 128", "trial.seeds_per_n": "2",
